@@ -4,7 +4,8 @@
 // same MDX constantly).
 //
 // Part 1: append 5% new facts and refresh the Table 1 views incrementally
-// (old view + delta) vs. rebuilding them from the grown base.
+// (old view + delta) vs. rebuilding them from the grown base. Both cubes
+// must answer paper Tests 4-7 alike, so a refresh bug fails the bench.
 // Part 2: run the Test 4 MDX twice with the result cache on — the second
 // round must cost zero I/O.
 
@@ -14,6 +15,27 @@
 
 using namespace starshare;
 using namespace starshare::bench;
+
+namespace {
+
+// Paper Tests 4-7 (Table 2's query sets) under GG, in a fixed order.
+std::vector<QueryResult> AnswerTests4To7(Engine& engine) {
+  std::vector<QueryResult> results;
+  for (const std::vector<int>& ids : std::vector<std::vector<int>>{
+           {1, 2, 3}, {2, 3, 5}, {6, 7, 8}, {1, 7, 9}}) {
+    const auto queries = PaperWorkload::MakeQueries(engine, ids);
+    const GlobalPlan plan =
+        engine.Optimize(queries, OptimizerKind::kGlobalGreedy);
+    for (ExecutedQuery& executed : engine.Execute(plan)) {
+      SS_CHECK_MSG(executed.ok(), "Q%d failed: %s", executed.query->id(),
+                   executed.status.ToString().c_str());
+      results.push_back(std::move(executed.result));
+    }
+  }
+  return results;
+}
+
+}  // namespace
 
 int main() {
   const uint64_t rows = PaperWorkload::RowsFromEnv();
@@ -26,6 +48,7 @@ int main() {
       WithCommas(delta_rows).c_str(), WithCommas(rows).c_str()));
 
   // Incremental: AppendFacts folds the delta into every view.
+  std::vector<QueryResult> incremental_answers;
   {
     Engine engine(StarSchema::PaperTestSchema());
     PaperWorkload::Setup(engine, rows);
@@ -35,6 +58,7 @@ int main() {
       SS_CHECK(engine.AppendFacts({.num_rows = delta_rows, .seed = 9}).ok());
     });
     report.Row("paper views: incremental (views + delta)", m);
+    incremental_answers = AnswerTests4To7(engine);
   }
 
   // Rebuild: drop all views and re-materialize from the grown base.
@@ -54,6 +78,16 @@ int main() {
                    .ok());
     });
     report.Row("paper views: rebuild from grown base", m);
+    // Real-valued measures fold in another order on each path, hence
+    // ApproxEquals.
+    const std::vector<QueryResult> rebuilt_answers = AnswerTests4To7(engine);
+    SS_CHECK(rebuilt_answers.size() == incremental_answers.size());
+    for (size_t i = 0; i < rebuilt_answers.size(); ++i) {
+      SS_CHECK_MSG(incremental_answers[i].ApproxEquals(rebuilt_answers[i]),
+                   "Tests 4-7 answer %zu differs between refreshed and "
+                   "rebuilt views",
+                   i);
+    }
   }
   report.Note(
       "Shape check (paper view set): the five Table 1 views total ~3x the\n"

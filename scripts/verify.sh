@@ -9,10 +9,12 @@
 # (derived-table lifetimes, rollup passes on the morsel driver), a
 # second full-suite pass with
 # STARSHARE_UNCOMPRESSED=1 (the raw page layout), a perf-smoke
-# pass of the scan benches on a reduced row count (their internal checks
+# pass of the scan and maintenance benches on a reduced row count (their
+# internal checks
 # fail the stage if vectorized aggregate output differs from
 # tuple-at-a-time/serial, any charged page count changes, or the
-# disabled-trace overhead bound of bench_vectorized_scan is exceeded), a
+# disabled-trace overhead bound of bench_vectorized_scan is exceeded, or
+# refreshed views answer paper Tests 4-7 unlike rebuilt ones), a
 # clang-tidy pass over src/plan/ + src/exec/ (skipped when clang-tidy is
 # absent), a Release-build optimizer-differential pass (all five
 # optimizers, 200 seeded random workloads, bit-identical results and
@@ -103,6 +105,8 @@ echo "==> perf-smoke: scan benches on reduced rows"
 (cd build && STARSHARE_ROWS=120000 ./bench/bench_vectorized_scan >/dev/null)
 (cd build && STARSHARE_ROWS=120000 ./bench/bench_parallel_scan >/dev/null)
 (cd build && STARSHARE_ROWS=120000 ./bench/bench_server_throughput >/dev/null)
+# The append path: Tests 4-7 over refreshed views must match rebuilt ones.
+(cd build && STARSHARE_ROWS=120000 ./bench/bench_ablation_maintenance >/dev/null)
 
 echo "==> optimizer differential: Release build, 200 seeds, all optimizers"
 # The differential suite pins all five optimizers to bit-identical

@@ -458,8 +458,18 @@ Result<CubeExecution> Engine::ExecuteCube(const CubeQuery& cube,
       obs::Metrics().counter("engine.cube_executions");
   cubes.Add();
 
-  Result<LatticePlan> planned =
-      PlanLattice(cube, schema_, views_, cost_, first_id);
+  Result<LatticePlan> planned = [&] {
+    obs::ScopedSpan plan_span("cube.plan_lattice");
+    Result<LatticePlan> lattice =
+        PlanLattice(cube, schema_, views_, cost_, first_id);
+    if (lattice.ok()) {
+      plan_span.AddCounter("levels", lattice.value().steps.size());
+      plan_span.AddCounter("rollups", lattice.value().NumRollups());
+    } else {
+      plan_span.SetStatus(lattice.status());
+    }
+    return lattice;
+  }();
   if (!planned.ok()) return planned.status();
 
   CubeExecution out;

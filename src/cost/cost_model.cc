@@ -23,9 +23,8 @@ double YaoDistinctPages(uint64_t pages, double rows) {
 double CostModel::DimSelectivity(const DimPredicate& pred,
                                  const MaterializedView& view) const {
   if (view.has_stats() && view.KeyColForDim(pred.dim) != SIZE_MAX) {
-    const std::vector<int32_t> stored = pred.MembersAtLevel(
-        schema_.dim(pred.dim), view.StoredLevel(pred.dim));
-    return view.SelectivityOf(pred.dim, stored);
+    return view.SelectivityOf(schema_.dim(pred.dim), pred.dim, pred.level,
+                              pred.members);
   }
   return pred.Selectivity(schema_.dim(pred.dim));
 }

@@ -88,41 +88,49 @@ void MaterializedView::ReplaceTable(const StarSchema& schema, Table* table) {
                name().c_str(), table->num_key_columns(), retained.size());
   table_ = table;
   indexes_.clear();
-  member_counts_.clear();
+  member_prefix_.clear();
 }
 
 void MaterializedView::ComputeStats(const StarSchema& schema) {
-  member_counts_.assign(schema.num_dims(), {});
+  member_prefix_.assign(schema.num_dims(), {});
   for (size_t d = 0; d < schema.num_dims(); ++d) {
     const size_t col = KeyColForDim(d);
     if (col == SIZE_MAX) continue;
-    std::vector<uint32_t> counts(
-        schema.dim(d).cardinality(spec_.level(d)), 0);
+    std::vector<uint64_t> prefix(
+        schema.dim(d).cardinality(spec_.level(d)) + 1, 0);
     const KeyColumn& keys = table_->key_column(col);
     keys.ForEach(0, keys.size(), [&](uint64_t, int32_t key) {
-      ++counts[static_cast<size_t>(key)];
+      ++prefix[static_cast<size_t>(key) + 1];
     });
-    member_counts_[d] = std::move(counts);
+    for (size_t m = 1; m < prefix.size(); ++m) prefix[m] += prefix[m - 1];
+    member_prefix_[d] = std::move(prefix);
   }
 }
 
 uint64_t MaterializedView::RowsMatching(
-    size_t d, std::span<const int32_t> stored_members) const {
+    const Hierarchy& hierarchy, size_t d, int level,
+    std::span<const int32_t> members) const {
   SS_CHECK_MSG(has_stats(), "ComputeStats not run on %s", name().c_str());
-  SS_CHECK(d < member_counts_.size() && !member_counts_[d].empty());
+  SS_CHECK(d < member_prefix_.size() && !member_prefix_[d].empty());
+  const int stored = StoredLevel(d);
+  SS_CHECK_MSG(level >= stored, "level %d is below the stored level %d",
+               level, stored);
+  const std::vector<uint64_t>& prefix = member_prefix_[d];
   uint64_t rows = 0;
-  for (int32_t m : stored_members) {
-    SS_DCHECK(m >= 0 && static_cast<size_t>(m) < member_counts_[d].size());
-    rows += member_counts_[d][static_cast<size_t>(m)];
+  for (size_t i = 0; i < members.size(); ++i) {
+    SS_DCHECK(i == 0 || members[i - 1] < members[i]);
+    const auto [lo, hi] = hierarchy.DescendantRange(level, members[i], stored);
+    rows += prefix[static_cast<size_t>(hi)] - prefix[static_cast<size_t>(lo)];
   }
   return rows;
 }
 
 double MaterializedView::SelectivityOf(
-    size_t d, std::span<const int32_t> stored_members) const {
+    const Hierarchy& hierarchy, size_t d, int level,
+    std::span<const int32_t> members) const {
   const uint64_t total = table_->num_rows();
   if (total == 0) return 0;
-  return static_cast<double>(RowsMatching(d, stored_members)) /
+  return static_cast<double>(RowsMatching(hierarchy, d, level, members)) /
          static_cast<double>(total);
 }
 

@@ -80,16 +80,20 @@ class MaterializedView {
   // statistics collection on loads and builds).
   void ComputeStats(const StarSchema& schema);
 
-  bool has_stats() const { return !member_counts_.empty(); }
+  bool has_stats() const { return !member_prefix_.empty(); }
 
-  // Rows whose dimension-`d` stored key is in `stored_members` (which must
-  // be at the stored level, sorted not required). Requires has_stats().
-  uint64_t RowsMatching(size_t d,
-                        std::span<const int32_t> stored_members) const;
+  // Rows whose dimension-`d` stored key descends from one of `members`, at
+  // `level` (the stored level or above, up to ALL; `hierarchy` is d's).
+  // Each member's descendants are one id range, summed from the prefix
+  // counts, so the cost is O(|members|) at any level. Members must be
+  // sorted and distinct, as a normalized DimPredicate's are. Requires
+  // has_stats().
+  uint64_t RowsMatching(const Hierarchy& hierarchy, size_t d, int level,
+                        std::span<const int32_t> members) const;
 
   // Fraction of rows matching, i.e. RowsMatching / num_rows.
-  double SelectivityOf(size_t d,
-                       std::span<const int32_t> stored_members) const;
+  double SelectivityOf(const Hierarchy& hierarchy, size_t d, int level,
+                       std::span<const int32_t> members) const;
 
  private:
   GroupBySpec spec_;
@@ -98,10 +102,10 @@ class MaterializedView {
   std::vector<size_t> key_col_for_dim_;
   // Keyed by (dimension << 8) | level.
   std::unordered_map<size_t, BitmapJoinIndex> indexes_;
-  // member_counts_[d][m]: rows with stored key m on dimension d; empty
-  // inner vectors for dimensions aggregated away; entirely empty before
-  // ComputeStats.
-  std::vector<std::vector<uint32_t>> member_counts_;
+  // member_prefix_[d][m]: rows whose stored key on dimension d is below m
+  // (cardinality + 1 entries); empty inner vectors for dimensions
+  // aggregated away; entirely empty before ComputeStats.
+  std::vector<std::vector<uint64_t>> member_prefix_;
 };
 
 }  // namespace starshare

@@ -26,6 +26,30 @@ uint64_t HashKey(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// True when packed key `a` precedes `b` in Emit order.
+bool EmitsBefore(uint64_t a, uint64_t b, bool clustered) {
+  const uint64_t sort_a = EmitSortKey(a, clustered);
+  const uint64_t sort_b = EmitSortKey(b, clustered);
+  return sort_a != sort_b ? sort_a < sort_b : a < b;
+}
+
+// (sort key, i) for the distinct packed keys `keys`, in Emit order.
+std::vector<std::pair<uint64_t, uint32_t>> EmitOrder(
+    const std::vector<uint64_t>& keys, bool clustered) {
+  std::vector<std::pair<uint64_t, uint32_t>> order;
+  order.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    order.emplace_back(EmitSortKey(keys[i], clustered),
+                       static_cast<uint32_t>(i));
+  }
+  std::sort(order.begin(), order.end(),
+            [&keys](const auto& a, const auto& b) {
+              if (a.first != b.first) return a.first < b.first;
+              return keys[a.second] < keys[b.second];
+            });
+  return order;
+}
+
 // Pulls one ScanSourceOp over the rows [begin, end) of `table` on `disk`,
 // executing the given Scan node: rows and batches land on the node, and
 // `per_batch(b, e)` sees exactly the fixed-size batch spans the §3 pipeline
@@ -47,6 +71,10 @@ void DriveScan(const Table& table, DiskModel& disk, uint64_t begin,
 }
 
 }  // namespace
+
+uint64_t EmitSortKey(uint64_t packed_key, bool clustered) {
+  return clustered ? packed_key : HashKey(packed_key);
+}
 
 // Aggregates packed group keys -> one SUM per measure column (views must
 // carry every measure so any measure query is answerable from them).
@@ -99,6 +127,7 @@ class ViewBuilder::MultiAggregator {
   }
 
   uint64_t cell_key(size_t cell) const { return cell_keys_[cell]; }
+  const std::vector<uint64_t>& cell_keys() const { return cell_keys_; }
   double cell_sum(size_t measure, size_t cell) const {
     return sums_[measure][cell];
   }
@@ -315,25 +344,31 @@ std::unique_ptr<Table> ViewBuilder::Emit(const MultiAggregator& agg,
                                          bool clustered) const {
   obs::ScopedSpan span("view.emit", target.ToString(schema_));
   span.AddRows(agg.num_cells());
-  // Deterministic emission order: lexicographic by key when clustered,
-  // otherwise a pseudo-random permutation of the keys (hash order).
-  std::vector<std::pair<uint64_t, uint32_t>> order;  // (sort key, cell)
-  order.reserve(agg.num_cells());
-  for (size_t cell = 0; cell < agg.num_cells(); ++cell) {
+  const auto order = EmitOrder(agg.cell_keys(), clustered);
+  const KeyPacker& packer = agg.packer();
+  std::vector<std::vector<int32_t>> keys(packer.num_keys());
+  std::vector<std::vector<double>> sums(agg.num_measures());
+  for (auto& column : keys) column.reserve(order.size());
+  for (auto& column : sums) column.reserve(order.size());
+  for (const auto& [_, cell] : order) {
     const uint64_t key = agg.cell_key(cell);
-    order.emplace_back(clustered ? key : HashKey(key),
-                       static_cast<uint32_t>(cell));
+    for (size_t i = 0; i < keys.size(); ++i) {
+      keys[i].push_back(packer.Field(key, i));
+    }
+    for (size_t m = 0; m < sums.size(); ++m) {
+      sums[m].push_back(agg.cell_sum(m, cell));
+    }
   }
-  std::sort(order.begin(), order.end(),
-            [&agg](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return agg.cell_key(a.second) < agg.cell_key(b.second);
-            });
+  return WriteTable(target, source_table, name, std::move(keys),
+                    std::move(sums), disk);
+}
 
-  const auto retained = target.RetainedDims(schema_);
+std::unique_ptr<Table> ViewBuilder::WriteTable(
+    const GroupBySpec& target, const Table& source_table,
+    const std::string& name, std::vector<std::vector<int32_t>> keys,
+    std::vector<std::vector<double>> sums, DiskModel& disk) const {
   std::vector<std::string> key_names;
-  key_names.reserve(retained.size());
-  for (size_t d : retained) {
+  for (size_t d : target.RetainedDims(schema_)) {
     key_names.push_back(schema_.dim(d).LevelName(target.level(d)));
   }
   std::vector<std::string> measure_names;
@@ -343,18 +378,15 @@ std::unique_ptr<Table> ViewBuilder::Emit(const MultiAggregator& agg,
   auto table = std::make_unique<Table>(
       name.empty() ? target.ToString(schema_) : name, key_names,
       measure_names);
-  table->Reserve(agg.num_cells());
-  std::vector<double> values(agg.num_measures());
-  for (const auto& [_, cell] : order) {
-    const std::vector<int32_t> keys = agg.packer().Unpack(agg.cell_key(cell));
-    for (size_t m = 0; m < values.size(); ++m) {
-      values[m] = agg.cell_sum(m, cell);
-    }
-    table->AppendRowM(keys.data(), values.data());
+  std::vector<KeyColumn> key_columns;
+  key_columns.reserve(keys.size());
+  for (auto& column : keys) {
+    key_columns.push_back(KeyColumn::FromRaw(std::move(column)));
   }
   // Pack before charging the write: the pages written are the pages later
   // scans of this view will read, so both sides price the same layout.
-  if (compressed_pages_) table->SetCompressed(true);
+  table->AdoptColumns(std::move(key_columns), std::move(sums),
+                      compressed_pages_);
   disk.WritePages(table->num_pages());
   return table;
 }
@@ -421,39 +453,140 @@ std::unique_ptr<Table> ViewBuilder::Refresh(const MaterializedView& view,
   obs::ScopedSpan span("view.refresh", view.spec().ToString(schema_));
   span.AddRows(view.table().num_rows() + delta.table().num_rows());
 
-  // Fold in the existing cells (keys are already at the view's levels, in
-  // column order) using an identity-mapped state over the view itself...
-  // then the delta, mapped up to the view's levels, into the SAME
-  // aggregator. The lowered tree is one Aggregate over two Scans.
+  // The lowered tree is one Aggregate over two Scans, the view then the
+  // delta. The merge reads the old rows in place, so the view's scan only
+  // charges their pages; the delta's scan maps its rows to the view's
+  // packed keys.
   PhysicalPlan phys;
   const LoweredViewBuild lowered =
       LowerViewBuild(phys, view.spec().ToString(schema_), /*num_scans=*/2);
-  TargetState fold = MakeTargetState(view, view.spec());
-  TargetState delta_state = MakeTargetState(delta, view.spec());
+  const KeyPacker packer(schema_, view.spec());
+  const uint64_t batch_rows = batch_.EffectiveBatchRows();
   NodeExec agg(phys, lowered.aggregate, disk);
-  const auto scan_into = [&](const MaterializedView& src, TargetState& state,
-                             size_t scan_slot) {
-    NodeExec scan(phys, lowered.scans[scan_slot], disk);
-    std::vector<uint64_t> keys;
-    DriveScan(src.table(), disk, 0, src.table().num_rows(),
-              batch_.EffectiveBatchRows(), scan,
-              [&](uint64_t b, uint64_t e) {
-                if (batch_.vectorized) {
-                  state.AccumulateBatch(b, e, keys);
-                } else {
-                  for (uint64_t row = b; row < e; ++row) state.Accumulate(row);
-                }
+  {
+    NodeExec scan(phys, lowered.scans[0], disk);
+    DriveScan(view.table(), disk, 0, view.table().num_rows(), batch_rows,
+              scan, [](uint64_t, uint64_t) {});
+  }
+  std::vector<uint64_t> delta_keys(delta.table().num_rows());
+  {
+    NodeExec scan(phys, lowered.scans[1], disk);
+    const DimTranslator translator(schema_, view.spec(), delta, packer);
+    DriveScan(delta.table(), disk, 0, delta.table().num_rows(), batch_rows,
+              scan, [&](uint64_t b, uint64_t e) {
+                translator.PackRange(b, static_cast<size_t>(e - b),
+                                     delta_keys.data() + b);
               });
-  };
-  scan_into(view, fold, 0);
-  delta_state.agg = std::move(fold.agg);
-  scan_into(delta, delta_state, 1);
-
-  std::unique_ptr<Table> table = Emit(*delta_state.agg, view.spec(),
-                                      view.table(), disk, view.name(),
-                                      view.clustered());
+  }
+  std::unique_ptr<Table> table =
+      MergeDelta(view, packer, delta.table(), delta_keys, disk);
   agg.AddRows(table->num_rows());
   return table;
+}
+
+std::unique_ptr<Table> ViewBuilder::MergeDelta(
+    const MaterializedView& view, const KeyPacker& packer,
+    const Table& delta, const std::vector<uint64_t>& delta_keys,
+    DiskModel& disk) const {
+  obs::ScopedSpan span("view.emit", view.spec().ToString(schema_));
+  const bool clustered = view.clustered();
+  const Table& old = view.table();
+  const uint64_t old_rows = old.num_rows();
+  const size_t num_measures = old.num_measures();
+
+  // The delta's distinct cells, numbered in arrival order.
+  FlatHashMap<uint32_t> slots(std::min<uint64_t>(
+      view.spec().MaxCells(schema_), delta_keys.size()));
+  std::vector<uint64_t> cell_keys;
+  std::vector<uint32_t> cell_of_row(delta_keys.size());
+  for (size_t r = 0; r < delta_keys.size(); ++r) {
+    uint32_t& slot = slots.FindOrInsert(delta_keys[r]);
+    if (slot == 0) {
+      cell_keys.push_back(delta_keys[r]);
+      slot = static_cast<uint32_t>(cell_keys.size());
+    }
+    cell_of_row[r] = slot - 1;
+  }
+
+  // Each cell's place among the old rows, taking the cells in Emit order:
+  // a binary search of the old rows after the previous cell's place. A
+  // cell found there starts from 0.0 + its old value, a new one from 0.0;
+  // then every delta row adds in arrival order. The search range only
+  // shrinks, so rows out of Emit order (a table file written by other
+  // means) still keep every index in bounds: such a view may end up with a
+  // key twice, but every old row and delta row is kept.
+  const DimTranslator old_keys(schema_, view.spec(), view, packer);
+  const auto order = EmitOrder(cell_keys, clustered);
+  std::vector<uint64_t> place(order.size());  // by Emit-order position
+  std::vector<bool> matched(order.size());
+  std::vector<double> cell_sums(cell_keys.size() * num_measures);
+  uint64_t next = 0;  // first old row after the previous cell
+  for (size_t i = 0; i < order.size(); ++i) {
+    const uint32_t cell = order[i].second;
+    uint64_t lo = next;
+    uint64_t hi = old_rows;
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (EmitsBefore(old_keys.PackRow(mid), cell_keys[cell], clustered)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    place[i] = lo;
+    matched[i] = lo < old_rows && old_keys.PackRow(lo) == cell_keys[cell];
+    for (size_t m = 0; m < num_measures; ++m) {
+      cell_sums[cell * num_measures + m] =
+          matched[i] ? 0.0 + old.measure(lo, m) : 0.0;
+    }
+    next = matched[i] ? lo + 1 : lo;
+  }
+  for (size_t r = 0; r < cell_of_row.size(); ++r) {
+    for (size_t m = 0; m < num_measures; ++m) {
+      cell_sums[cell_of_row[r] * num_measures + m] += delta.measure(r, m);
+    }
+  }
+
+  // The refreshed rows: runs of untouched old rows copied column by column
+  // (each value as 0.0 + value, the fold a cell with no delta row gets),
+  // with the delta cells at their places.
+  std::vector<std::vector<int32_t>> keys(packer.num_keys());
+  std::vector<std::vector<double>> sums(num_measures);
+  for (auto& column : keys) column.reserve(old_rows + cell_keys.size());
+  for (auto& column : sums) column.reserve(old_rows + cell_keys.size());
+  const auto copy_old = [&](uint64_t begin, uint64_t end) {
+    if (begin == end) return;
+    const size_t n = static_cast<size_t>(end - begin);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const size_t base = keys[i].size();
+      keys[i].resize(base + n);
+      old.key_column(i).Decode(begin, end, keys[i].data() + base);
+    }
+    for (size_t m = 0; m < sums.size(); ++m) {
+      const double* values = old.measure_column(m).data();
+      const size_t base = sums[m].size();
+      sums[m].resize(base + n);
+      double* out = sums[m].data() + base;
+      for (size_t i = 0; i < n; ++i) out[i] = 0.0 + values[begin + i];
+    }
+  };
+  next = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    const uint32_t cell = order[i].second;
+    copy_old(next, place[i]);
+    for (size_t k = 0; k < keys.size(); ++k) {
+      keys[k].push_back(packer.Field(cell_keys[cell], k));
+    }
+    for (size_t m = 0; m < num_measures; ++m) {
+      sums[m].push_back(cell_sums[cell * num_measures + m]);
+    }
+    next = matched[i] ? place[i] + 1 : place[i];
+  }
+  copy_old(next, old_rows);
+
+  span.AddRows(sums[0].size());
+  return WriteTable(view.spec(), old, view.name(), std::move(keys),
+                    std::move(sums), disk);
 }
 
 std::vector<std::unique_ptr<Table>> ViewBuilder::BuildMany(

@@ -2,17 +2,18 @@
 // view whose spec CanAnswer the target): scan, map each retained key up the
 // hierarchy, hash-aggregate SUM(measure), emit a new table.
 //
-// Row order: by default cells are emitted in a deterministic pseudo-random
-// permutation (hash of the packed group key) — the heap/hash-file layout a
-// paper-era system dumps its aggregation table into, under which index
-// probes spread Yao-style. Pass clustered=true to emit sorted
-// lexicographically by key instead (an index-organized view), which makes
-// prefix-structured predicates probe contiguous runs; the MaterializedView
-// must then be marked clustered() so the cost model knows.
+// Row order (Emit order, see EmitSortKey): by default cells are emitted in a
+// deterministic pseudo-random permutation (hash of the packed group key) —
+// the heap/hash-file layout a paper-era system dumps its aggregation table
+// into, under which index probes spread Yao-style. Pass clustered=true to
+// emit sorted lexicographically by key instead (an index-organized view),
+// which makes prefix-structured predicates probe contiguous runs; the
+// MaterializedView must then be marked clustered() so the cost model knows.
 
 #ifndef STARSHARE_CUBE_VIEW_BUILDER_H_
 #define STARSHARE_CUBE_VIEW_BUILDER_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,17 +30,27 @@
 
 namespace starshare {
 
+class KeyPacker;
 class NodeExec;
+
+// Emit order, the order every view table lists its cells in: ascending
+// EmitSortKey of the packed group key (exec/key_packer.h), ties broken by
+// the packed key itself. The sort key is the key's splitmix64 hash, or for
+// clustered views the packed key (lexicographic in the key columns).
+// Builds sort into this order and Refresh merges into it, so a refreshed
+// view is laid out exactly as a rebuilt one.
+uint64_t EmitSortKey(uint64_t packed_key, bool clustered);
 
 class ViewBuilder {
  public:
   explicit ViewBuilder(const StarSchema& schema) : schema_(schema) {}
 
-  // CPU execution style for the serial build/refresh scans (vectorized
-  // batches by default; BatchConfig::TupleAtATime() restores the fused
-  // per-row loops). BuildManyParallel workers follow policy.batch instead,
-  // so one ParallelPolicy fully describes a parallel pass. Either style
-  // emits bit-identical tables and charges identical I/O.
+  // CPU execution style for the serial build scans (vectorized batches by
+  // default; BatchConfig::TupleAtATime() restores the fused per-row loops).
+  // Refresh follows only its batch size. BuildManyParallel workers follow
+  // policy.batch instead, so one ParallelPolicy fully describes a parallel
+  // pass. Either style emits bit-identical tables and charges identical
+  // I/O.
   void set_batch_config(const BatchConfig& batch) { batch_ = batch; }
   const BatchConfig& batch_config() const { return batch_; }
 
@@ -58,9 +69,9 @@ class ViewBuilder {
   // orders cells by key, and the merge replays each cell's folds in arrival
   // order. A failed spill write degrades that target to in-memory
   // completion (builds have no per-query status channel to surface
-  // kResourceExhausted through). Refresh always stays in-memory: the view
-  // being refreshed already fits by construction. The pointer must outlive
-  // the builder's use.
+  // kResourceExhausted through). Refresh takes no grant: its working state
+  // is O(delta) beside the old and new tables. The pointer must outlive the
+  // builder's use.
   void set_memory_budget(const MemoryBudget* budget,
                          const SpillConfig& spill) {
     budget_ = budget;
@@ -100,6 +111,16 @@ class ViewBuilder {
   // typically newly appended base facts) into the view's current cells.
   // SUM views are self-maintainable, so this reads only the old view and
   // the delta — never the full base. Layout follows view.clustered().
+  //
+  // The delta is mapped to the view's packed keys, its distinct cells are
+  // sorted into Emit order, and they are merged into the old rows in one
+  // pass: a cell the delta touches becomes 0.0 + its old value plus each
+  // delta row in arrival order, a new cell lands at its sorted position,
+  // and untouched runs are copied in bulk. The merge relies on the old rows
+  // being in Emit order (as every build and refresh writes them) for the
+  // result to equal re-aggregating (view + delta) bit for bit; rows out of
+  // order still lose nothing. Working state is O(delta). Charges one scan
+  // of the view, one of the delta and the new table's write.
   std::unique_ptr<Table> Refresh(const MaterializedView& view,
                                  const MaterializedView& delta,
                                  DiskModel& disk) const;
@@ -128,6 +149,24 @@ class ViewBuilder {
                               const GroupBySpec& target,
                               const Table& source_table, DiskModel& disk,
                               const std::string& name, bool clustered) const;
+
+  // Refresh's merge: `delta_keys[r]` is delta row r's key packed by
+  // `packer` (built for view.spec()).
+  std::unique_ptr<Table> MergeDelta(const MaterializedView& view,
+                                    const KeyPacker& packer,
+                                    const Table& delta,
+                                    const std::vector<uint64_t>& delta_keys,
+                                    DiskModel& disk) const;
+
+  // Installs finished key and measure columns (rows in Emit order) as the
+  // table for `target`, named like `source_table`'s measures, and charges
+  // its write.
+  std::unique_ptr<Table> WriteTable(const GroupBySpec& target,
+                                    const Table& source_table,
+                                    const std::string& name,
+                                    std::vector<std::vector<int32_t>> keys,
+                                    std::vector<std::vector<double>> sums,
+                                    DiskModel& disk) const;
 
   const StarSchema& schema_;
   BatchConfig batch_;

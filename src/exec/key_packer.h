@@ -42,11 +42,14 @@ class KeyPacker {
     return static_cast<uint64_t>(static_cast<uint32_t>(member)) << shifts_[i];
   }
 
+  // Member id field i holds in a packed key: the inverse of PackField.
+  int32_t Field(uint64_t key, size_t i) const {
+    return static_cast<int32_t>((key >> shifts_[i]) & masks_[i]);
+  }
+
   std::vector<int32_t> Unpack(uint64_t key) const {
     std::vector<int32_t> out(shifts_.size());
-    for (size_t i = 0; i < shifts_.size(); ++i) {
-      out[i] = static_cast<int32_t>((key >> shifts_[i]) & masks_[i]);
-    }
+    for (size_t i = 0; i < shifts_.size(); ++i) out[i] = Field(key, i);
     return out;
   }
 

@@ -59,25 +59,31 @@ std::vector<int32_t> Hierarchy::Children(int level, int32_t member) const {
   return kids;
 }
 
-std::vector<int32_t> Hierarchy::DescendantsAtLevel(int from_level,
-                                                   int32_t member,
-                                                   int to_level) const {
+std::pair<int32_t, int32_t> Hierarchy::DescendantRange(int from_level,
+                                                      int32_t member,
+                                                      int to_level) const {
   SS_CHECK(to_level >= 0 && to_level <= from_level);
   if (from_level == all_level()) {
-    std::vector<int32_t> all(cardinality(to_level));
-    for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int32_t>(i);
-    return all;
+    return {0, static_cast<int32_t>(cardinality(to_level))};
   }
-  // Balanced hierarchy: descendants are a contiguous id range.
+  SS_DCHECK(member >= 0 &&
+            static_cast<uint32_t>(member) < cardinality(from_level));
   int64_t lo = member;
   int64_t hi = member + 1;
   for (int l = from_level - 1; l >= to_level; --l) {
     lo *= fanouts_[l];
     hi *= fanouts_[l];
   }
+  return {static_cast<int32_t>(lo), static_cast<int32_t>(hi)};
+}
+
+std::vector<int32_t> Hierarchy::DescendantsAtLevel(int from_level,
+                                                   int32_t member,
+                                                   int to_level) const {
+  const auto [lo, hi] = DescendantRange(from_level, member, to_level);
   std::vector<int32_t> out;
   out.reserve(static_cast<size_t>(hi - lo));
-  for (int64_t m = lo; m < hi; ++m) out.push_back(static_cast<int32_t>(m));
+  for (int32_t m = lo; m < hi; ++m) out.push_back(m);
   return out;
 }
 

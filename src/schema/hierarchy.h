@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -51,9 +52,15 @@ class Hierarchy {
   // parent is `member`. Requires level >= 1. (Children are contiguous.)
   std::vector<int32_t> Children(int level, int32_t member) const;
 
-  // All descendants of `member` (at `from_level`) at `to_level` <=
-  // from_level. from_level == to_level returns {member}; from_level == ALL
-  // returns every member of to_level.
+  // The descendants of `member` (at `from_level`) at `to_level` <=
+  // from_level, as the id range [first, second): a balanced hierarchy
+  // numbers every member's descendants contiguously. from_level ==
+  // to_level gives [member, member + 1); from_level == ALL gives every
+  // member of to_level.
+  std::pair<int32_t, int32_t> DescendantRange(int from_level, int32_t member,
+                                              int to_level) const;
+
+  // DescendantRange as a list of ids.
   std::vector<int32_t> DescendantsAtLevel(int from_level, int32_t member,
                                           int to_level) const;
 

@@ -301,6 +301,14 @@ TEST(CubeExecutionTest, TracedCubeRecordsDerivedSpans) {
   const std::string trace = engine->last_trace().ToText();
   EXPECT_NE(trace.find("engine.execute_cube"), std::string::npos);
   EXPECT_NE(trace.find("exec.derived_scan"), std::string::npos);
+  // Lattice planning has its own span, counting the scheduled levels.
+  const obs::TraceSpan* plan = engine->last_trace().Find("cube.plan_lattice");
+  ASSERT_NE(plan, nullptr);
+  const std::vector<std::pair<std::string, uint64_t>> counters = {
+      {"levels", exec.value().lattice.steps.size()},
+      {"rollups", exec.value().lattice.NumRollups()}};
+  EXPECT_EQ(plan->counters, counters);
+  EXPECT_GT(exec.value().lattice.NumRollups(), 0u);
 }
 
 TEST(CubeExecutionTest, ExecuteCubeWithoutFactTableFails) {

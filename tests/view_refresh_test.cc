@@ -1,0 +1,373 @@
+// ViewBuilder::Refresh merges a delta into the view's rows in Emit order.
+// A test-only reference refresh re-aggregates everything instead: it folds
+// each old cell as 0.0 + its value, then each delta row in arrival order,
+// into a std::map and emits the cells in Emit order. The merge must match
+// it byte for byte (rows, order, measure bits, names, packed widths) and
+// charge the same I/O, for every layout and delta shape below.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "cube/materialized_view.h"
+#include "cube/view_builder.h"
+#include "exec/key_packer.h"
+#include "storage/disk_model.h"
+#include "tests/test_util.h"
+
+namespace starshare {
+namespace {
+
+using testing::BruteForce;
+
+// SmallSchema's hierarchies with two measures, so every per-measure path
+// runs more than once.
+StarSchema TwoMeasureSchema() {
+  std::vector<DimensionConfig> dims;
+  dims.push_back({.name = "X", .top_cardinality = 2, .fanouts = {3, 2}});
+  dims.push_back({.name = "Y", .top_cardinality = 2, .fanouts = {3, 2}});
+  dims.push_back({.name = "Z", .top_cardinality = 3, .fanouts = {4}});
+  return StarSchema(std::move(dims),
+                    std::vector<std::string>{"amount", "units"});
+}
+
+// One base-level fact row.
+struct Fact {
+  int32_t x, y, z;
+  double amount, units;
+};
+
+std::unique_ptr<Table> MakeTable(const std::string& name,
+                                 const std::vector<Fact>& facts) {
+  auto table = std::make_unique<Table>(
+      name, std::vector<std::string>{"X", "Y", "Z"},
+      std::vector<std::string>{"amount", "units"});
+  for (const Fact& f : facts) {
+    const int32_t keys[] = {f.x, f.y, f.z};
+    const double values[] = {f.amount, f.units};
+    table->AppendRowM(keys, values);
+  }
+  return table;
+}
+
+// `rows` random facts. X stays below `x_limit`, so a later delta row with a
+// larger X widens the view's packed X column. Real measures carry
+// fractions, so any change in fold order shows in the bits.
+std::vector<Fact> RandomFacts(uint64_t rows, uint64_t seed, bool integer,
+                              int32_t x_limit = 12) {
+  Rng rng(seed);
+  std::vector<Fact> facts;
+  for (uint64_t r = 0; r < rows; ++r) {
+    Fact f;
+    f.x = static_cast<int32_t>(rng.NextBounded(static_cast<uint64_t>(x_limit)));
+    f.y = static_cast<int32_t>(rng.NextBounded(12));
+    f.z = static_cast<int32_t>(rng.NextBounded(12));
+    f.amount = integer ? static_cast<double>(rng.NextBounded(1000))
+                       : rng.NextDouble() * 1000.0 - 100.0;
+    f.units = integer ? static_cast<double>(rng.NextBounded(7))
+                      : rng.NextDouble() / 3.0;
+    facts.push_back(f);
+  }
+  return facts;
+}
+
+struct Refreshed {
+  std::unique_ptr<Table> table;
+  IoStats io;
+};
+
+// The reference refresh: scan both inputs page by page, fold into a
+// std::map keyed by the packed key, emit in Emit order, pack, charge the
+// write.
+Refreshed ReferenceRefresh(const StarSchema& schema,
+                           const MaterializedView& view,
+                           const MaterializedView& delta, bool compressed) {
+  const GroupBySpec& spec = view.spec();
+  const KeyPacker packer(schema, spec);
+  const std::vector<size_t> retained = spec.RetainedDims(schema);
+  const size_t num_measures = view.table().num_measures();
+  std::map<uint64_t, std::vector<double>> cells;
+  DiskModel disk;
+  for (const MaterializedView* source : {&view, &delta}) {
+    const Table& table = source->table();
+    table.ScanPages(disk, [&](uint64_t begin, uint64_t end) {
+      disk.CountTuples(end - begin);
+      for (uint64_t r = begin; r < end; ++r) {
+        std::vector<int32_t> members(retained.size());
+        for (size_t i = 0; i < retained.size(); ++i) {
+          const size_t d = retained[i];
+          members[i] = schema.dim(d).MapUp(
+              source->StoredLevel(d), spec.level(d),
+              table.key(source->KeyColForDim(d), r));
+        }
+        std::vector<double>& sums =
+            cells.try_emplace(packer.Pack(members.data()), num_measures, 0.0)
+                .first->second;
+        for (size_t m = 0; m < num_measures; ++m) {
+          sums[m] += table.measure(r, m);
+        }
+      }
+    });
+  }
+
+  std::vector<uint64_t> order;
+  for (const auto& [key, _] : cells) order.push_back(key);
+  const bool clustered = view.clustered();
+  std::sort(order.begin(), order.end(), [&](uint64_t a, uint64_t b) {
+    const uint64_t sa = EmitSortKey(a, clustered);
+    const uint64_t sb = EmitSortKey(b, clustered);
+    return sa != sb ? sa < sb : a < b;
+  });
+
+  std::vector<std::string> key_names;
+  for (size_t d : retained) {
+    key_names.push_back(schema.dim(d).LevelName(spec.level(d)));
+  }
+  std::vector<std::string> measure_names;
+  for (size_t m = 0; m < num_measures; ++m) {
+    measure_names.push_back(view.table().measure_name(m));
+  }
+  Refreshed out;
+  out.table = std::make_unique<Table>(view.name(), key_names, measure_names);
+  for (const uint64_t key : order) {
+    out.table->AppendRowM(packer.Unpack(key).data(), cells.at(key).data());
+  }
+  out.table->SetCompressed(compressed);
+  disk.WritePages(out.table->num_pages());
+  out.io = disk.stats();
+  return out;
+}
+
+void ExpectSameTable(const Table& got, const Table& want,
+                     const std::string& label) {
+  EXPECT_EQ(got.name(), want.name()) << label;
+  EXPECT_EQ(got.compressed(), want.compressed()) << label;
+  EXPECT_EQ(got.tuple_width_bits(), want.tuple_width_bits()) << label;
+  ASSERT_EQ(got.num_rows(), want.num_rows()) << label;
+  ASSERT_EQ(got.num_key_columns(), want.num_key_columns()) << label;
+  ASSERT_EQ(got.num_measures(), want.num_measures()) << label;
+  for (size_t c = 0; c < got.num_key_columns(); ++c) {
+    EXPECT_EQ(got.key_column_name(c), want.key_column_name(c)) << label;
+    EXPECT_EQ(got.key_column(c).packed(), want.key_column(c).packed())
+        << label;
+    EXPECT_EQ(got.key_column(c).bits(), want.key_column(c).bits())
+        << label << " column " << c;
+    EXPECT_EQ(got.key_column(c).ref(), want.key_column(c).ref())
+        << label << " column " << c;
+  }
+  for (size_t m = 0; m < got.num_measures(); ++m) {
+    EXPECT_EQ(got.measure_name(m), want.measure_name(m)) << label;
+  }
+  for (uint64_t r = 0; r < got.num_rows(); ++r) {
+    for (size_t c = 0; c < got.num_key_columns(); ++c) {
+      ASSERT_EQ(got.key(c, r), want.key(c, r))
+          << label << " row " << r << " column " << c;
+    }
+    for (size_t m = 0; m < got.num_measures(); ++m) {
+      const double a = got.measure(r, m);
+      const double b = want.measure(r, m);
+      ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+          << label << " row " << r << " measure " << m << ": " << a
+          << " vs " << b;
+    }
+  }
+}
+
+// Builds `spec` over `base` with ViewBuilder::Build, refreshes it with
+// `delta`, and checks the result and its I/O against the reference.
+void CheckRefresh(const StarSchema& schema, const std::vector<Fact>& base,
+                  const std::string& spec_text, bool compressed,
+                  bool clustered, const std::vector<Fact>& delta,
+                  const std::string& label) {
+  SCOPED_TRACE(label);
+  const GroupBySpec spec = GroupBySpec::Parse(spec_text, schema).value();
+  const std::unique_ptr<Table> base_table = MakeTable("facts", base);
+  const MaterializedView base_view(schema, GroupBySpec::Base(schema),
+                                   base_table.get());
+  ViewBuilder builder(schema);
+  builder.set_compressed_pages(compressed);
+  DiskModel build_disk;
+  const std::unique_ptr<Table> old_table =
+      builder.Build(base_view, spec, build_disk, "", clustered);
+  MaterializedView view(schema, spec, old_table.get());
+  view.set_clustered(clustered);
+
+  const std::unique_ptr<Table> delta_table = MakeTable("delta", delta);
+  const MaterializedView delta_view(schema, GroupBySpec::Base(schema),
+                                    delta_table.get());
+  DiskModel disk;
+  const std::unique_ptr<Table> refreshed =
+      builder.Refresh(view, delta_view, disk);
+  const Refreshed want = ReferenceRefresh(schema, view, delta_view, compressed);
+  ExpectSameTable(*refreshed, *want.table, label);
+  EXPECT_EQ(disk.stats(), want.io) << disk.stats().ToString() << " vs "
+                                   << want.io.ToString();
+}
+
+TEST(ViewRefreshTest, MergeMatchesReferenceAcrossLayoutsAndDeltas) {
+  const StarSchema schema = TwoMeasureSchema();
+  for (const bool integer : {false, true}) {
+    // X' stays in {0, 1, 2} in the old view; 300 rows fill about half of
+    // the 432 cells of XY'Z, so deltas hit old and new cells alike.
+    const std::vector<Fact> base = RandomFacts(300, 7, integer, 6);
+    std::vector<std::pair<std::string, std::vector<Fact>>> deltas;
+    deltas.emplace_back("empty", std::vector<Fact>{});
+    deltas.emplace_back("one row", RandomFacts(1, 11, integer, 6));
+    std::vector<Fact> one_cell = RandomFacts(60, 13, integer, 6);
+    for (Fact& f : one_cell) {
+      f.x = 3;
+      f.y = 4;
+      f.z = 5;
+    }
+    deltas.emplace_back("many rows on one cell", one_cell);
+    deltas.emplace_back("larger than the view",
+                        RandomFacts(2000, 17, integer, 6));
+    std::vector<Fact> widening = RandomFacts(40, 19, integer, 6);
+    widening[7].x = 11;   // X' = 5: outside the old packed range
+    widening[23].z = 11;
+    deltas.emplace_back("key outside the old packed range", widening);
+
+    for (const bool compressed : {false, true}) {
+      for (const bool clustered : {false, true}) {
+        for (const auto& [name, delta] : deltas) {
+          const std::string label =
+              std::string(integer ? "integer" : "real") +
+              (compressed ? " compressed" : " uncompressed") +
+              (clustered ? " clustered" : " hash-order") + " / " + name;
+          CheckRefresh(schema, base, "XY'Z", compressed, clustered, delta,
+                       label);
+          CheckRefresh(schema, base, "X''Y'", compressed, clustered, delta,
+                       label + " (coarse view)");
+        }
+      }
+    }
+  }
+}
+
+TEST(ViewRefreshTest, EmptyAndZeroKeyViews) {
+  const StarSchema schema = TwoMeasureSchema();
+  const std::vector<Fact> none;
+  const std::vector<Fact> base = RandomFacts(200, 23, /*integer=*/false);
+  const std::vector<Fact> delta = RandomFacts(50, 29, /*integer=*/false);
+  for (const bool compressed : {false, true}) {
+    for (const bool clustered : {false, true}) {
+      CheckRefresh(schema, none, "XY'Z", compressed, clustered, delta,
+                   "empty view");
+      CheckRefresh(schema, none, "XY'Z", compressed, clustered, none,
+                   "empty view, empty delta");
+      CheckRefresh(schema, base, "()", compressed, clustered, delta,
+                   "zero-key view");
+      CheckRefresh(schema, base, "()", compressed, clustered, none,
+                   "zero-key view, empty delta");
+      CheckRefresh(schema, none, "()", compressed, clustered, delta,
+                   "empty zero-key view");
+    }
+  }
+}
+
+TEST(ViewRefreshTest, UntouchedCellsFoldLikeTheReference) {
+  // A view table written by other means can hold -0.0; a rebuild folds it
+  // as 0.0 + -0.0 = +0.0, and so must the bulk copy of untouched rows.
+  const StarSchema schema = TwoMeasureSchema();
+  const GroupBySpec spec = GroupBySpec::Parse("X''", schema).value();
+  auto old_table = std::make_unique<Table>(
+      "X''", std::vector<std::string>{"X''"},
+      std::vector<std::string>{"amount", "units"});
+  for (int32_t x = 0; x < 2; ++x) {
+    const double values[] = {-0.0, x == 0 ? 5.0 : -0.0};
+    old_table->AppendRowM(&x, values);
+  }
+  // Hash order of the two cells, as Build would write them.
+  if (EmitSortKey(1, false) < EmitSortKey(0, false)) {
+    auto swapped = std::make_unique<Table>(
+        "X''", std::vector<std::string>{"X''"},
+        std::vector<std::string>{"amount", "units"});
+    for (int32_t x : {1, 0}) {
+      const double values[] = {-0.0, x == 0 ? 5.0 : -0.0};
+      swapped->AppendRowM(&x, values);
+    }
+    old_table = std::move(swapped);
+  }
+  const MaterializedView view(schema, spec, old_table.get());
+  const std::unique_ptr<Table> delta_table = MakeTable("delta", {});
+  const MaterializedView delta(schema, GroupBySpec::Base(schema),
+                               delta_table.get());
+  ViewBuilder builder(schema);
+  DiskModel disk;
+  const std::unique_ptr<Table> refreshed = builder.Refresh(view, delta, disk);
+  const Refreshed want = ReferenceRefresh(schema, view, delta, false);
+  ExpectSameTable(*refreshed, *want.table, "negative zero");
+  EXPECT_EQ(disk.stats(), want.io);
+  EXPECT_FALSE(std::signbit(refreshed->measure(0, 0)));
+}
+
+TEST(ViewRefreshTest, OutOfOrderViewKeepsEverySum) {
+  // Rows out of Emit order, as in a table file LoadCube accepts: the merge
+  // may not place the delta as a rebuild would, but it must stay in bounds
+  // and keep every old row and every delta contribution.
+  const StarSchema schema = TwoMeasureSchema();
+  const std::vector<Fact> base = RandomFacts(400, 31, /*integer=*/true);
+  const std::vector<Fact> delta = RandomFacts(500, 37, /*integer=*/true);
+  for (const char* spec_text : {"XY'Z", "X'Z'", "()"}) {
+    SCOPED_TRACE(spec_text);
+    const GroupBySpec spec = GroupBySpec::Parse(spec_text, schema).value();
+    const std::unique_ptr<Table> base_table = MakeTable("facts", base);
+    const MaterializedView base_view(schema, GroupBySpec::Base(schema),
+                                     base_table.get());
+    ViewBuilder builder(schema);
+    DiskModel disk;
+    const std::unique_ptr<Table> built = builder.Build(base_view, spec, disk);
+
+    // The same cells, rows reversed.
+    std::vector<std::string> key_names;
+    for (size_t c = 0; c < built->num_key_columns(); ++c) {
+      key_names.push_back(built->key_column_name(c));
+    }
+    auto reversed = std::make_unique<Table>(
+        built->name(), key_names,
+        std::vector<std::string>{"amount", "units"});
+    std::vector<int32_t> keys(built->num_key_columns());
+    for (uint64_t r = built->num_rows(); r-- > 0;) {
+      for (size_t c = 0; c < keys.size(); ++c) keys[c] = built->key(c, r);
+      const double values[] = {built->measure(r, 0), built->measure(r, 1)};
+      reversed->AppendRowM(keys.data(), values);
+    }
+    const MaterializedView view(schema, spec, reversed.get());
+    const std::unique_ptr<Table> delta_table = MakeTable("delta", delta);
+    const MaterializedView delta_view(schema, GroupBySpec::Base(schema),
+                                      delta_table.get());
+    const std::unique_ptr<Table> refreshed =
+        builder.Refresh(view, delta_view, disk);
+    ASSERT_GE(refreshed->num_rows(), reversed->num_rows());
+
+    std::vector<Fact> all = base;
+    all.insert(all.end(), delta.begin(), delta.end());
+    const std::unique_ptr<Table> all_table = MakeTable("all", all);
+    for (size_t m = 0; m < 2; ++m) {
+      std::map<std::vector<int32_t>, double> sums;
+      for (uint64_t r = 0; r < refreshed->num_rows(); ++r) {
+        for (size_t c = 0; c < keys.size(); ++c) {
+          keys[c] = refreshed->key(c, r);
+        }
+        sums[keys] += refreshed->measure(r, m);
+      }
+      QueryResult got(spec, AggOp::kSum);
+      for (const auto& [group, sum] : sums) got.AddRow(group, sum);
+      got.Canonicalize();
+      DimensionalQuery query(1, spec_text, spec, QueryPredicate(),
+                             AggOp::kSum, m);
+      EXPECT_TRUE(got.ApproxEquals(BruteForce(schema, *all_table, query)))
+          << "measure " << m;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace starshare
