@@ -1,7 +1,7 @@
 // Ablation: batch cube construction — the paper's base-table sharing
 // applied to precomputation itself. Materializing the five Table 1 views
 // one at a time costs five scans (each from its cheapest source);
-// ViewBuilder::BuildMany computes all of them in ONE shared scan of the
+// one ViewBuilder::Build computes all of them in ONE shared scan of the
 // base, trading repeated I/O for a wider per-tuple fan-out, exactly the
 // shared-scan trade of §3.1.
 

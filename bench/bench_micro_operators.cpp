@@ -6,10 +6,10 @@
 
 #include "common/rng.h"
 #include "cube/view_builder.h"
+#include "exec/executor.h"
 #include "exec/flat_hash.h"
 #include "exec/hash_aggregator.h"
-#include "exec/shared_operators.h"
-#include "exec/star_join.h"
+#include "exec/operators/class_pipeline.h"
 #include "index/bitmap.h"
 #include "schema/data_generator.h"
 
@@ -101,8 +101,10 @@ struct JoinFixture {
 
 void BM_HashStarJoin(benchmark::State& state) {
   JoinFixture f(static_cast<uint64_t>(state.range(0)));
+  const Executor executor(f.schema, f.disk);
   for (auto _ : state) {
-    QueryResult r = HashStarJoin(f.schema, f.queries[0], *f.view, f.disk);
+    Result<QueryResult> r =
+        executor.ExecuteSingle(f.queries[0], *f.view, JoinMethod::kHashScan);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -111,10 +113,13 @@ BENCHMARK(BM_HashStarJoin)->Arg(100000);
 
 void BM_SharedScan4Queries(benchmark::State& state) {
   JoinFixture f(static_cast<uint64_t>(state.range(0)));
-  std::vector<const DimensionalQuery*> ptrs;
-  for (const auto& q : f.queries) ptrs.push_back(&q);
+  SharedClassRequest req;
+  req.schema = &f.schema;
+  for (const auto& q : f.queries) req.hash_queries.push_back(&q);
+  req.view = f.view.get();
+  req.disk = &f.disk;
   for (auto _ : state) {
-    auto r = SharedScanStarJoin(f.schema, ptrs, *f.view, f.disk);
+    Result<SharedOutcome> r = ExecuteSharedClass(req);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -123,8 +128,10 @@ BENCHMARK(BM_SharedScan4Queries)->Arg(100000);
 
 void BM_IndexStarJoin(benchmark::State& state) {
   JoinFixture f(static_cast<uint64_t>(state.range(0)));
+  const Executor executor(f.schema, f.disk);
   for (auto _ : state) {
-    QueryResult r = IndexStarJoin(f.schema, f.queries[0], *f.view, f.disk);
+    Result<QueryResult> r = executor.ExecuteSingle(f.queries[0], *f.view,
+                                                   JoinMethod::kIndexProbe);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -135,8 +142,8 @@ void BM_ViewBuild(benchmark::State& state) {
   ViewBuilder builder(f.schema);
   const GroupBySpec spec = GroupBySpec::Parse("A'B'C'D", f.schema).value();
   for (auto _ : state) {
-    auto t = builder.Build(*f.view, spec, f.disk);
-    benchmark::DoNotOptimize(t->num_rows());
+    auto t = builder.Build(*f.view, {spec}, f.disk);
+    benchmark::DoNotOptimize(t[0]->num_rows());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

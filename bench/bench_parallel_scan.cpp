@@ -15,31 +15,16 @@
 // hardware_threads so a 1-core container reporting ~1x is distinguishable
 // from a regression on real hardware.
 
-#include <cstring>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/str_util.h"
 #include "core/paper_workload.h"
+#include "tests/test_util.h"
 
 using namespace starshare;
 using namespace starshare::bench;
-
-namespace {
-
-bool BitIdentical(const QueryResult& a, const QueryResult& b) {
-  if (a.num_rows() != b.num_rows()) return false;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (a.rows()[i].keys != b.rows()[i].keys) return false;
-    if (std::memcmp(&a.rows()[i].value, &b.rows()[i].value,
-                    sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
+using starshare::testing::BitIdentical;
 
 int main() {
   const uint64_t rows = PaperWorkload::RowsFromEnv(2'000'000);

@@ -9,12 +9,12 @@
 # (derived-table lifetimes, rollup passes on the morsel driver), a
 # second full-suite pass with
 # STARSHARE_UNCOMPRESSED=1 (the raw page layout), a perf-smoke
-# pass of the scan and maintenance benches on a reduced row count (their
-# internal checks
-# fail the stage if vectorized aggregate output differs from
-# tuple-at-a-time/serial, any charged page count changes, or the
-# disabled-trace overhead bound of bench_vectorized_scan is exceeded, or
-# refreshed views answer paper Tests 4-7 unlike rebuilt ones), a
+# pass of the scan and maintenance benches on a reduced row count plus a
+# short operator micro-bench run (their internal checks fail the stage if
+# aggregate output differs from the brute-force oracle or the serial run,
+# any charged page count changes, the disabled-trace overhead bound of
+# bench_vectorized_scan is exceeded, or refreshed views answer paper
+# Tests 4-7 unlike rebuilt ones), a
 # clang-tidy pass over src/plan/ + src/exec/ (skipped when clang-tidy is
 # absent), a Release-build optimizer-differential pass (all five
 # optimizers, 200 seeded random workloads, bit-identical results and
@@ -98,15 +98,19 @@ TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
 
 echo "==> perf-smoke: scan benches on reduced rows"
 # Each bench SS_CHECKs bit-identity against its reference execution and
-# exact IoStats equality across configurations — a vectorized result or a
-# page count drifting from tuple-at-a-time aborts the bench and this stage.
-# Speedup ratios at this row count are recorded but not asserted (see
-# bench_vectorized_scan.cpp); the Release 2M-row sweep is the perf gate.
+# exact IoStats equality across configurations — a result drifting from
+# the brute-force oracle (bench_vectorized_scan's baseline) or a page count
+# drifting between configurations aborts the bench and this stage. Timings
+# at this row count are recorded but not asserted; the Release 2M-row
+# sweep is the perf gate.
 (cd build && STARSHARE_ROWS=120000 ./bench/bench_vectorized_scan >/dev/null)
 (cd build && STARSHARE_ROWS=120000 ./bench/bench_parallel_scan >/dev/null)
 (cd build && STARSHARE_ROWS=120000 ./bench/bench_server_throughput >/dev/null)
 # The append path: Tests 4-7 over refreshed views must match rebuilt ones.
 (cd build && STARSHARE_ROWS=120000 ./bench/bench_ablation_maintenance >/dev/null)
+# The operator micro-benches only have to run; google-benchmark 1.7 takes
+# the minimum time as a plain number of seconds.
+(cd build && ./bench/bench_micro_operators --benchmark_min_time=0.01 >/dev/null)
 
 echo "==> optimizer differential: Release build, 200 seeds, all optimizers"
 # The differential suite pins all five optimizers to bit-identical

@@ -66,7 +66,6 @@ Engine::Engine(StarSchema schema, EngineConfig config)
     result_cache_ =
         std::make_unique<ResultCache>(config_.result_cache_entries);
   }
-  builder_.set_batch_config(config_.batch);
   set_parallelism(config_.parallelism);
   // Compressed layout: the catalog normalizes every registered table
   // (generator output, view builds, cube loads, attached fact tables), the
@@ -83,12 +82,6 @@ Engine::Engine(StarSchema schema, EngineConfig config)
 void Engine::set_memory_budget_bytes(uint64_t bytes) {
   config_.memory_budget_bytes = bytes;
   memory_budget_ = MemoryBudget(bytes);
-}
-
-void Engine::set_batch_config(const BatchConfig& batch) {
-  config_.batch = batch;
-  builder_.set_batch_config(batch);
-  set_parallelism(parallelism_);  // rebuild the policy with the new style
 }
 
 void Engine::set_parallelism(size_t parallelism) {
@@ -109,6 +102,7 @@ void Engine::set_parallelism(size_t parallelism) {
     thread_pool_.reset();
   }
   executor_.set_parallel_policy(policy);
+  builder_.set_parallel_policy(policy);
 }
 
 MaterializedView* Engine::LoadFactTable(const DataGeneratorConfig& config) {
@@ -237,8 +231,8 @@ Result<MaterializedView*> Engine::MaterializeView(const GroupBySpec& spec,
     return Status::InvalidArgument("no source can materialize " +
                                    spec.ToString(schema_));
   }
-  Result<Table*> table = catalog_.Register(builder_.Build(
-      *sources.front(), spec, disk_, /*name=*/"", clustered));
+  Result<Table*> table = catalog_.Register(std::move(
+      builder_.Build(*sources.front(), {spec}, disk_, clustered).front()));
   if (!table.ok()) return table.status();
   auto view = std::make_unique<MaterializedView>(schema_, spec, table.value());
   view->set_clustered(clustered);
@@ -278,8 +272,8 @@ Result<std::vector<MaterializedView*>> Engine::MaterializeViews(
     return Status::InvalidArgument(
         "no single source can materialize all requested group-bys");
   }
-  std::vector<std::unique_ptr<Table>> tables = builder_.BuildManyParallel(
-      *sources.front(), specs, disk_, executor_.parallel_policy(), clustered);
+  std::vector<std::unique_ptr<Table>> tables =
+      builder_.Build(*sources.front(), specs, disk_, clustered);
   std::vector<MaterializedView*> out;
   out.reserve(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {

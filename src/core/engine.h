@@ -71,10 +71,8 @@ struct EngineConfig {
   size_t parallelism = 1;
   // Rows per morsel for parallel passes (0 = automatic, page aligned).
   uint64_t morsel_rows = 0;
-  // CPU execution style for the shared operators and view builds:
-  // vectorized batch-at-a-time by default. BatchConfig::TupleAtATime()
-  // restores the original fused per-tuple loops (the reference
-  // implementation). Either style produces bit-identical results and
+  // Rows per batch for the shared operators, view builds and the query
+  // server's scans. Any batch size produces bit-identical results and
   // charges identical modeled I/O (see DESIGN.md "Vectorized execution
   // model"); the knob exists for benchmarking and verification.
   BatchConfig batch;
@@ -159,26 +157,18 @@ class Engine {
   DiskModel& disk() { return disk_; }
 
   // Runtime form of EngineConfig::parallelism: resizes (or drops) the
-  // worker pool. Safe between queries; must not be called while an Execute
-  // or MaterializeViews is in flight.
+  // worker pool and hands the executor and the view builder the new
+  // policy. Safe between queries; must not be called while an Execute or
+  // MaterializeViews is in flight.
   void set_parallelism(size_t parallelism);
   size_t parallelism() const { return parallelism_; }
 
-  // Runtime form of EngineConfig::batch: switches the shared operators and
-  // the view builder between vectorized and tuple-at-a-time execution, or
-  // adjusts the batch size. Safe between queries, like set_parallelism.
-  void set_batch_config(const BatchConfig& batch);
-  void set_vectorized(bool vectorized) {
-    BatchConfig batch = config_.batch;
-    batch.vectorized = vectorized;
-    set_batch_config(batch);
-  }
+  // Runtime form of EngineConfig::batch's batch size. Safe between
+  // queries, like set_parallelism.
   void set_batch_rows(size_t batch_rows) {
-    BatchConfig batch = config_.batch;
-    batch.batch_rows = batch_rows;
-    set_batch_config(batch);
+    config_.batch.batch_rows = batch_rows;
+    set_parallelism(parallelism_);  // rebuild the policy with the new size
   }
-  const BatchConfig& batch_config() const { return config_.batch; }
 
   // Runtime form of EngineConfig::memory_budget_bytes. Safe between
   // queries, like set_parallelism; 0 restores unbounded execution.

@@ -148,8 +148,7 @@ class ViewBuilder::MultiAggregator {
 };
 
 // Per-target plumbing for one pass over a source view. Key translation goes
-// through the same dense arrays (exec/dim_translator.h) as query execution,
-// so tuple-at-a-time and batch accumulation produce identical packed keys.
+// through the same dense arrays (exec/dim_translator.h) as query execution.
 struct ViewBuilder::TargetState {
   std::unique_ptr<MultiAggregator> agg;
   DimTranslator translator;
@@ -208,13 +207,6 @@ struct ViewBuilder::TargetState {
       }
       Fold(keys[i], values.data());
     }
-  }
-
-  void Accumulate(uint64_t row) {
-    for (size_t m = 0; m < measure_cols.size(); ++m) {
-      values[m] = (*measure_cols[m])[row];
-    }
-    Fold(translator.PackRow(row), values.data());
   }
 
   // Batch form over the contiguous rows [begin, end), with caller-owned key
@@ -340,7 +332,6 @@ std::unique_ptr<Table> ViewBuilder::Emit(const MultiAggregator& agg,
                                          const GroupBySpec& target,
                                          const Table& source_table,
                                          DiskModel& disk,
-                                         const std::string& name,
                                          bool clustered) const {
   obs::ScopedSpan span("view.emit", target.ToString(schema_));
   span.AddRows(agg.num_cells());
@@ -359,8 +350,8 @@ std::unique_ptr<Table> ViewBuilder::Emit(const MultiAggregator& agg,
       sums[m].push_back(agg.cell_sum(m, cell));
     }
   }
-  return WriteTable(target, source_table, name, std::move(keys),
-                    std::move(sums), disk);
+  return WriteTable(target, source_table, target.ToString(schema_),
+                    std::move(keys), std::move(sums), disk);
 }
 
 std::unique_ptr<Table> ViewBuilder::WriteTable(
@@ -375,9 +366,7 @@ std::unique_ptr<Table> ViewBuilder::WriteTable(
   for (size_t m = 0; m < source_table.num_measures(); ++m) {
     measure_names.push_back(source_table.measure_name(m));
   }
-  auto table = std::make_unique<Table>(
-      name.empty() ? target.ToString(schema_) : name, key_names,
-      measure_names);
+  auto table = std::make_unique<Table>(name, key_names, measure_names);
   std::vector<KeyColumn> key_columns;
   key_columns.reserve(keys.size());
   for (auto& column : keys) {
@@ -388,55 +377,6 @@ std::unique_ptr<Table> ViewBuilder::WriteTable(
   table->AdoptColumns(std::move(key_columns), std::move(sums),
                       compressed_pages_);
   disk.WritePages(table->num_pages());
-  return table;
-}
-
-std::unique_ptr<Table> ViewBuilder::Build(const MaterializedView& source,
-                                          const GroupBySpec& target,
-                                          DiskModel& disk,
-                                          const std::string& name,
-                                          bool clustered) const {
-  SS_CHECK_MSG(source.spec().CanAnswer(target),
-               "view %s cannot materialize %s", source.name().c_str(),
-               target.ToString(schema_).c_str());
-  static obs::Counter& builds = obs::Metrics().counter("view.builds");
-  builds.Add();
-  obs::ScopedSpan span("view.build", target.ToString(schema_));
-  span.AddRows(source.table().num_rows());
-
-  // A build executes the lowered Aggregate <- Scan tree, like every other
-  // path in the system: the scan streams ScanSourceOp batches into the
-  // target's aggregator, and the physical nodes record what ran.
-  PhysicalPlan phys;
-  const LoweredViewBuild lowered =
-      LowerViewBuild(phys, target.ToString(schema_), /*num_scans=*/1);
-  TargetState state = MakeTargetState(source, target);
-  GrantBudget(state, /*consumers=*/1);
-  NodeExec agg(phys, lowered.aggregate, disk);
-  {
-    NodeExec scan(phys, lowered.scans[0], disk);
-    std::vector<uint64_t> keys;
-    DriveScan(source.table(), disk, 0, source.table().num_rows(),
-              batch_.EffectiveBatchRows(), scan,
-              [&](uint64_t b, uint64_t e) {
-                if (batch_.vectorized) {
-                  state.AccumulateBatch(b, e, keys);
-                } else {
-                  for (uint64_t row = b; row < e; ++row) state.Accumulate(row);
-                }
-              });
-  }
-  state.FinishFolds();
-  std::unique_ptr<Table> table =
-      Emit(*state.agg, target, source.table(), disk, name, clustered);
-  agg.AddRows(table->num_rows());
-  MemStats mem;
-  mem.hash_bytes = state.agg->MemoryBytes() + state.staged_peak_bytes;
-  agg.RecordMem(mem);
-  if (state.spill_runs > 0) {
-    agg.AddNodeOnlyCounter("spill_runs", state.spill_runs);
-    agg.AddNodeOnlyCounter("spill_bytes", state.spill_bytes);
-  }
   return table;
 }
 
@@ -461,7 +401,7 @@ std::unique_ptr<Table> ViewBuilder::Refresh(const MaterializedView& view,
   const LoweredViewBuild lowered =
       LowerViewBuild(phys, view.spec().ToString(schema_), /*num_scans=*/2);
   const KeyPacker packer(schema_, view.spec());
-  const uint64_t batch_rows = batch_.EffectiveBatchRows();
+  const uint64_t batch_rows = policy_.batch.EffectiveBatchRows();
   NodeExec agg(phys, lowered.aggregate, disk);
   {
     NodeExec scan(phys, lowered.scans[0], disk);
@@ -589,12 +529,17 @@ std::unique_ptr<Table> ViewBuilder::MergeDelta(
                     std::move(sums), disk);
 }
 
-std::vector<std::unique_ptr<Table>> ViewBuilder::BuildMany(
+std::vector<std::unique_ptr<Table>> ViewBuilder::Build(
     const MaterializedView& source, const std::vector<GroupBySpec>& targets,
     DiskModel& disk, bool clustered) const {
+  // A one-target build is named by its target, a shared one by the view it
+  // scans.
+  const std::string detail =
+      targets.size() == 1 ? targets[0].ToString(schema_) : source.name();
   static obs::Counter& builds = obs::Metrics().counter("view.builds");
   builds.Add(targets.size());
-  obs::ScopedSpan span("view.build_many");
+  // Closes after MergeIntoParent, so merged worker I/O lands in its delta.
+  obs::ScopedSpan span("view.build", detail);
   span.AddRows(source.table().num_rows());
   span.AddCounter("targets", targets.size());
 
@@ -608,119 +553,66 @@ std::vector<std::unique_ptr<Table>> ViewBuilder::BuildMany(
   }
   for (TargetState& state : states) GrantBudget(state, states.size());
 
-  // One shared scan feeds every target's aggregation. Targets aggregate
-  // independently, so the batch path's target-outer order folds each
-  // aggregator exactly as the row-outer serial loop does.
+  // A build executes the lowered Aggregate <- Scan tree, like every other
+  // path in the system; parallelism is only a driver property. Targets
+  // aggregate independently and each sees its rows in ascending order, so
+  // folding target by target replays a row-by-row fold of every target
+  // exactly.
+  const Table& table = source.table();
+  const uint64_t batch_rows = policy_.batch.EffectiveBatchRows();
   PhysicalPlan phys;
   const LoweredViewBuild lowered =
-      LowerViewBuild(phys, source.name(), /*num_scans=*/1);
+      LowerViewBuild(phys, detail, /*num_scans=*/1);
   std::vector<std::unique_ptr<Table>> tables;
   tables.reserve(targets.size());
   {
     NodeExec agg(phys, lowered.aggregate, disk);
     {
       NodeExec scan(phys, lowered.scans[0], disk);
-      std::vector<uint64_t> keys;
-      DriveScan(source.table(), disk, 0, source.table().num_rows(),
-                batch_.EffectiveBatchRows(), scan,
-                [&](uint64_t b, uint64_t e) {
-                  if (batch_.vectorized) {
+      if (!policy_.engaged()) {
+        std::vector<uint64_t> keys;
+        DriveScan(table, disk, 0, table.num_rows(), batch_rows, scan,
+                  [&](uint64_t b, uint64_t e) {
                     for (TargetState& state : states) {
                       state.AccumulateBatch(b, e, keys);
                     }
-                  } else {
-                    for (uint64_t row = b; row < e; ++row) {
-                      for (TargetState& state : states) state.Accumulate(row);
-                    }
-                  }
-                });
-    }
-    uint64_t cells = 0;
-    for (size_t i = 0; i < targets.size(); ++i) {
-      states[i].FinishFolds();
-      tables.push_back(Emit(*states[i].agg, targets[i], source.table(), disk,
-                            "", clustered));
-      cells += tables.back()->num_rows();
-    }
-    agg.AddRows(cells);
-    RecordBuildMem(states, agg);
-  }
-  return tables;
-}
-
-std::vector<std::unique_ptr<Table>> ViewBuilder::BuildManyParallel(
-    const MaterializedView& source, const std::vector<GroupBySpec>& targets,
-    DiskModel& disk, const ParallelPolicy& policy, bool clustered) const {
-  if (!policy.engaged()) return BuildMany(source, targets, disk, clustered);
-
-  // Same span site as BuildMany; closes after MergeIntoParent so the
-  // merged worker I/O lands in its delta (see exec/operators/).
-  static obs::Counter& builds = obs::Metrics().counter("view.builds");
-  builds.Add(targets.size());
-  obs::ScopedSpan span("view.build_many");
-  span.AddRows(source.table().num_rows());
-  span.AddCounter("targets", targets.size());
-
-  std::vector<TargetState> states;
-  states.reserve(targets.size());
-  for (const GroupBySpec& target : targets) {
-    SS_CHECK_MSG(source.spec().CanAnswer(target),
-                 "view %s cannot materialize %s", source.name().c_str(),
-                 target.ToString(schema_).c_str());
-    states.push_back(MakeTargetState(source, target));
-  }
-  for (TargetState& state : states) GrantBudget(state, states.size());
-
-  const Table& table = source.table();
-  const size_t workers =
-      std::min(policy.parallelism, policy.pool->num_threads());
-  const uint64_t morsel_rows =
-      policy.morsel_rows > 0
-          ? policy.morsel_rows
-          : MorselDispatcher::DefaultMorselRows(
-                table.num_rows(), table.rows_per_page(), workers);
-  MorselDispatcher dispatcher(table.num_rows(), morsel_rows,
-                              /*window=*/4 * workers);
-  ParallelContext ctx(disk, workers);
-
-  // The same Aggregate <- Scan tree as BuildMany; parallelism is only a
-  // driver property. Every row feeds every target, so a morsel's buffer is
-  // one packed-key column per target; measure values are re-read by the
-  // consumer (cheap, and already charged by the worker's page scan).
-  PhysicalPlan phys;
-  const LoweredViewBuild lowered =
-      LowerViewBuild(phys, source.name(), /*num_scans=*/1);
-  std::vector<std::unique_ptr<Table>> tables;
-  tables.reserve(targets.size());
-  {
-    NodeExec agg(phys, lowered.aggregate, disk);
-    {
-      // Open across the whole pipeline: MergeIntoParent runs before this
-      // node closes, so the merged worker I/O lands in its delta.
-      NodeExec scan(phys, lowered.scans[0], disk);
-      scan.AddRows(table.num_rows());
-      struct KeyBuffer {
-        std::vector<std::vector<uint64_t>> keys;
-      };
-      RunMorselPipeline<KeyBuffer>(
-          policy.pool, workers, dispatcher, ctx,
-          [&](const Morsel& morsel, DiskModel& wdisk, KeyBuffer& buffer) {
-            buffer.keys.resize(states.size());
-            for (std::vector<uint64_t>& keys : buffer.keys) {
-              keys.clear();
-              keys.reserve(morsel.num_rows());
-            }
-            // Per-morsel ScanSourceOp on the worker disk: identical page
-            // charges and batch spans as the serial chain over this slice.
-            ScanSourceOp op(table, wdisk, morsel.begin, morsel.end,
-                            policy.batch.EffectiveBatchRows());
-            ClassBatch batch;
-            op.Open();
-            while (op.NextBatch(batch)) {
-              if (policy.batch.vectorized) {
-                // Batches arrive adjacent and ascending, so packing each
-                // span onto the tail keeps buffer.keys[t][i] the key of
-                // row morsel.begin + i.
+                  });
+      } else {
+        // Every row feeds every target, so a morsel's buffer is one
+        // packed-key column per target; measure values are re-read by the
+        // consumer (cheap, and already charged by the worker's page scan).
+        const size_t workers =
+            std::min(policy_.parallelism, policy_.pool->num_threads());
+        const uint64_t morsel_rows =
+            policy_.morsel_rows > 0
+                ? policy_.morsel_rows
+                : MorselDispatcher::DefaultMorselRows(
+                      table.num_rows(), table.rows_per_page(), workers);
+        MorselDispatcher dispatcher(table.num_rows(), morsel_rows,
+                                    /*window=*/4 * workers);
+        ParallelContext ctx(disk, workers);
+        scan.AddRows(table.num_rows());
+        struct KeyBuffer {
+          std::vector<std::vector<uint64_t>> keys;
+        };
+        RunMorselPipeline<KeyBuffer>(
+            policy_.pool, workers, dispatcher, ctx,
+            [&](const Morsel& morsel, DiskModel& wdisk, KeyBuffer& buffer) {
+              buffer.keys.resize(states.size());
+              for (std::vector<uint64_t>& keys : buffer.keys) {
+                keys.clear();
+                keys.reserve(morsel.num_rows());
+              }
+              // Per-morsel ScanSourceOp on the worker disk: identical page
+              // charges and batch spans as the serial chain over this
+              // slice. Batches arrive adjacent and ascending, so packing
+              // each span onto the tail keeps buffer.keys[t][i] the key of
+              // row morsel.begin + i.
+              ScanSourceOp op(table, wdisk, morsel.begin, morsel.end,
+                              batch_rows);
+              ClassBatch batch;
+              op.Open();
+              while (op.NextBatch(batch)) {
                 const size_t n = static_cast<size_t>(batch.end - batch.begin);
                 for (size_t t = 0; t < states.size(); ++t) {
                   std::vector<uint64_t>& keys = buffer.keys[t];
@@ -729,47 +621,24 @@ std::vector<std::unique_ptr<Table>> ViewBuilder::BuildManyParallel(
                   states[t].translator.PackRange(batch.begin, n,
                                                  keys.data() + base);
                 }
-                continue;
               }
-              for (uint64_t row = batch.begin; row < batch.end; ++row) {
-                for (size_t t = 0; t < states.size(); ++t) {
-                  buffer.keys[t].push_back(
-                      states[t].translator.PackRow(row));
-                }
-              }
-            }
-            op.Close();
-          },
-          [&](const Morsel& morsel, const KeyBuffer& buffer) {
-            scan.AddBatches(1);
-            if (policy.batch.vectorized) {
-              // Per-target batch fold: targets are independent, and each
-              // target's stream is row-ascending, so this replays
-              // BuildMany's per-cell accumulation order exactly.
+              op.Close();
+            },
+            [&](const Morsel& morsel, const KeyBuffer& buffer) {
+              scan.AddBatches(1);
               for (size_t t = 0; t < states.size(); ++t) {
                 states[t].FoldBatch(buffer.keys[t].data(),
                                     buffer.keys[t].size(), morsel.begin);
               }
-              return;
-            }
-            std::vector<double> values(table.num_measures());
-            for (uint64_t i = 0; i < morsel.num_rows(); ++i) {
-              const uint64_t row = morsel.begin + i;
-              for (size_t m = 0; m < values.size(); ++m) {
-                values[m] = table.measure_column(m)[row];
-              }
-              for (size_t t = 0; t < states.size(); ++t) {
-                states[t].Fold(buffer.keys[t][i], values.data());
-              }
-            }
-          });
-      ctx.MergeIntoParent();
+            });
+        ctx.MergeIntoParent();
+      }
     }
     uint64_t cells = 0;
     for (size_t i = 0; i < targets.size(); ++i) {
       states[i].FinishFolds();
-      tables.push_back(Emit(*states[i].agg, targets[i], source.table(), disk,
-                            "", clustered));
+      tables.push_back(
+          Emit(*states[i].agg, targets[i], table, disk, clustered));
       cells += tables.back()->num_rows();
     }
     agg.AddRows(cells);

@@ -21,7 +21,6 @@
 #include "cube/materialized_view.h"
 #include "exec/memory_budget.h"
 #include "exec/spill.h"
-#include "exec/vector_batch.h"
 #include "parallel/policy.h"
 #include "schema/groupby_spec.h"
 #include "schema/star_schema.h"
@@ -45,14 +44,12 @@ class ViewBuilder {
  public:
   explicit ViewBuilder(const StarSchema& schema) : schema_(schema) {}
 
-  // CPU execution style for the serial build scans (vectorized batches by
-  // default; BatchConfig::TupleAtATime() restores the fused per-row loops).
-  // Refresh follows only its batch size. BuildManyParallel workers follow
-  // policy.batch instead, so one ParallelPolicy fully describes a parallel
-  // pass. Either style emits bit-identical tables and charges identical
-  // I/O.
-  void set_batch_config(const BatchConfig& batch) { batch_ = batch; }
-  const BatchConfig& batch_config() const { return batch_; }
+  // Parallelism and batch size of Build's shared scan; Refresh follows only
+  // the batch size. With the default policy (no pool, parallelism 1) builds
+  // run on the calling thread; an engaged policy runs the scan
+  // morsel-parallel. Either driver emits bit-identical tables and charges
+  // identical I/O.
+  void set_parallel_policy(const ParallelPolicy& policy) { policy_ = policy; }
 
   // Compressed layout for emitted tables: Emit packs the finished table
   // BEFORE charging its write I/O, so a view build's WritePages reflect the
@@ -78,33 +75,21 @@ class ViewBuilder {
     spill_ = spill;
   }
 
-  // Builds the table for `target` from `source`. The source must be able to
-  // answer the target (checked). Scan + write costs are charged to `disk`.
-  // The new table is named `target.ToString(schema)` unless `name` is given.
-  std::unique_ptr<Table> Build(const MaterializedView& source,
-                               const GroupBySpec& target, DiskModel& disk,
-                               const std::string& name = "",
-                               bool clustered = false) const;
-
-  // Builds several group-bys in ONE shared scan of `source` — the paper's
-  // base-table sharing applied to cube construction: each scanned tuple
-  // feeds every target's aggregation. Costs one scan plus all writes.
-  // Returns the tables in target order (named by spec string).
-  std::vector<std::unique_ptr<Table>> BuildMany(
+  // Builds `targets` in ONE shared scan of `source` — the paper's
+  // base-table sharing applied to cube construction: each scanned row feeds
+  // every target's aggregation. The source must be able to answer every
+  // target (checked). Charges one scan plus every table's write to `disk`.
+  // Returns the tables in target order, each named by its spec string.
+  //
+  // The serial driver packs and folds each batch on the calling thread. The
+  // morsel driver's workers pack each row's key for every target into
+  // per-morsel buffers that the calling thread folds in morsel order, so
+  // output tables and charged I/O are bit-identical at any thread count
+  // (the ordered-merge argument of the parallel shared operators).
+  std::vector<std::unique_ptr<Table>> Build(
       const MaterializedView& source,
       const std::vector<GroupBySpec>& targets, DiskModel& disk,
       bool clustered = false) const;
-
-  // BuildMany with the shared scan morsel-parallelized: workers map each
-  // row's keys up to every target's levels and emit per-morsel packed-key
-  // buffers; the calling thread folds them into the aggregators in morsel
-  // order. Output tables and charged I/O are bit-identical to BuildMany at
-  // any thread count (same ordered-merge argument as the parallel shared
-  // operators). A disengaged policy falls through to BuildMany.
-  std::vector<std::unique_ptr<Table>> BuildManyParallel(
-      const MaterializedView& source,
-      const std::vector<GroupBySpec>& targets, DiskModel& disk,
-      const ParallelPolicy& policy, bool clustered = false) const;
 
   // Incremental view maintenance: returns a fresh table for `view` that
   // folds the rows of `delta` (a view at the SAME or finer granularity,
@@ -144,11 +129,11 @@ class ViewBuilder {
                              NodeExec& agg);
 
   // Emits the contents of a finished aggregator as a table carrying every
-  // measure of `source_table`.
+  // measure of `source_table`, named by the target's spec string.
   std::unique_ptr<Table> Emit(const MultiAggregator& agg,
                               const GroupBySpec& target,
                               const Table& source_table, DiskModel& disk,
-                              const std::string& name, bool clustered) const;
+                              bool clustered) const;
 
   // Refresh's merge: `delta_keys[r]` is delta row r's key packed by
   // `packer` (built for view.spec()).
@@ -169,7 +154,7 @@ class ViewBuilder {
                                     DiskModel& disk) const;
 
   const StarSchema& schema_;
-  BatchConfig batch_;
+  ParallelPolicy policy_;
   bool compressed_pages_ = false;
   const MemoryBudget* budget_ = nullptr;
   SpillConfig spill_;

@@ -3,8 +3,8 @@
 // the view's stored member ids to pre-shifted packed-key bits at the query's
 // target levels — the "dimension hash table" of the paper's plans realized
 // as perfect-hash arrays — plus the aggregation hash table. Every star-join
-// operator — single or shared, tuple-at-a-time or vectorized — funnels
-// matching tuples through Accumulate() / AccumulateBatch().
+// operator packs matching rows' keys with translator() and folds them, in
+// row order, through AccumulateRaw() / AccumulateRawBatch().
 
 #ifndef STARSHARE_EXEC_BOUND_QUERY_H_
 #define STARSHARE_EXEC_BOUND_QUERY_H_
@@ -45,19 +45,10 @@ class BoundQuery {
 
   const DimensionalQuery& query() const { return *query_; }
 
-  // Adds view row `row` (already known to pass the query's selection) to
-  // the aggregation, reading the query's own measure column.
-  void Accumulate(uint64_t row) {
-    agg_.Add(translator_.PackRow(row), MeasureAt(row));
-  }
-
-  // The split form of Accumulate used by morsel-parallel workers: the
-  // read-only half (translate the row's keys and pack them) runs
-  // concurrently; the mutating half (AccumulateRaw / AccumulateRawBatch)
-  // runs only on the merging thread, in serial row order, so the
-  // aggregation folds bit-identically to the serial operator.
-  uint64_t PackedKeyAt(uint64_t row) const { return translator_.PackRow(row); }
-  double MeasureAt(uint64_t row) const { return (*measures_)[row]; }
+  // Adds one packed group key and measure value to the aggregation. Packing
+  // (translator()) is read-only, so morsel-parallel workers do it
+  // concurrently; folding runs only on the merging thread, in serial row
+  // order, so the aggregation is bit-identical at any thread count.
   void AccumulateRaw(uint64_t packed_key, double value) {
     agg_.Add(packed_key, value);
   }
@@ -66,8 +57,8 @@ class BoundQuery {
     agg_.AddBatch(keys, values, n);
   }
 
-  // Vectorized accessors: the translation arrays and the raw measure
-  // column, for batch kernels that pack keys and gather values themselves.
+  // The translation arrays and the raw measure column, for batch kernels
+  // that pack keys and gather values themselves.
   const DimTranslator& translator() const { return translator_; }
   const double* measure_data() const { return measures_->data(); }
 

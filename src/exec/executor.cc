@@ -4,7 +4,6 @@
 
 #include "common/str_util.h"
 #include "exec/operators/class_pipeline.h"
-#include "exec/shared_operators.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/lowering.h"

@@ -70,14 +70,6 @@ class HashAggregator {
   // Finalizes into a canonically sorted QueryResult.
   QueryResult Finish() const;
 
-  // Iterates raw (packed key, sum, count) — used by the view builder.
-  template <typename Fn>
-  void ForEachRaw(Fn&& fn) const {
-    groups_.ForEach([&fn](uint64_t key, const Accum& a) {
-      fn(key, a.agg, a.count);
-    });
-  }
-
  private:
   struct Accum {
     double agg = 0;

@@ -1,5 +1,12 @@
 #include "exec/operators/bitmap_filter.h"
 
+#include "common/fault_injector.h"
+#include "common/str_util.h"
+#include "exec/operators/star_join_filter.h"
+#include "exec/vector_batch.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+
 namespace starshare {
 namespace {
 
@@ -43,26 +50,96 @@ void ForEachIndexMemberBatch(const Bitmap& bitmap, uint64_t row_begin,
 
 }  // namespace
 
+ResidualFilter::ResidualFilter(
+    const StarSchema& schema, const MaterializedView& view,
+    const std::vector<const DimPredicate*>& preds) {
+  for (const DimPredicate* pred : preds) {
+    const size_t col = view.KeyColForDim(pred->dim);
+    SS_CHECK(col != SIZE_MAX);
+    filters_.push_back(Filter{&view.table().key_column(col),
+                              BuildPassTable(schema, view, *pred)});
+  }
+}
+
+Bitmap BuildResultBitmap(const StarSchema& schema,
+                         const DimensionalQuery& query,
+                         const MaterializedView& view, DiskModel& disk,
+                         std::vector<const DimPredicate*>* residual) {
+  Bitmap result;
+  bool first = true;
+  for (const auto& pred : query.predicate().conjuncts()) {
+    // Prefer the index at the predicate's own level (one segment per
+    // predicate member); fall back to the stored-level index with the
+    // member set expanded to descendants; predicates on unindexed
+    // dimensions become residual filters applied per retrieved tuple.
+    const BitmapJoinIndex* index = view.IndexOn(pred.dim, pred.level);
+    std::vector<int32_t> members = pred.members;
+    if (index == nullptr) {
+      index = view.IndexOn(pred.dim);
+      members = pred.MembersAtLevel(schema.dim(pred.dim),
+                                    view.StoredLevel(pred.dim));
+    }
+    if (index == nullptr) {
+      SS_CHECK_MSG(residual != nullptr,
+                   "no bitmap index on dim %s of view %s and no residual "
+                   "filtering requested",
+                   schema.dim(pred.dim).dim_name().c_str(),
+                   view.name().c_str());
+      residual->push_back(&pred);
+      continue;
+    }
+    Bitmap dim_bitmap = index->Lookup(members, disk);  // ORed per §3.2
+    if (first) {
+      result = std::move(dim_bitmap);
+      first = false;
+    } else {
+      result.AndWith(dim_bitmap);
+    }
+  }
+  SS_CHECK_MSG(!first,
+               "index star join requires >= 1 indexed restricted dimension");
+  return result;
+}
+
+Status BuildMemberBitmap(const StarSchema& schema,
+                         const DimensionalQuery& query,
+                         const MaterializedView& view, DiskModel& disk,
+                         Bitmap* bitmap,
+                         std::vector<const DimPredicate*>* residual) {
+  static obs::Counter& bitmaps = obs::Metrics().counter("exec.bitmaps");
+  bitmaps.Add();
+  obs::ScopedSpan span("exec.bitmap", "", query.id());
+  if (FaultHit("exec.build_bitmap", query.id())) {
+    Status fault = Status::Internal(StrFormat(
+        "injected fault building result bitmap for query %d", query.id()));
+    span.SetStatus(fault);
+    return fault;
+  }
+  *bitmap = BuildResultBitmap(schema, query, view, disk, residual);
+  Status device = disk.TakeFault();
+  if (!device.ok()) {
+    Status fault =
+        Status(device.code(),
+               StrFormat("query %d bitmap construction: %s", query.id(),
+                         device.message().c_str()));
+    span.SetStatus(fault);
+    return fault;
+  }
+  if (span.active()) span.AddRows(bitmap->CountSetBits());
+  return Status::Ok();
+}
+
 bool BitmapFilterOp::NextBatch(ClassBatch& batch) {
   if (!child_->NextBatch(batch)) return false;
-  const bool probe = batch.positions != nullptr;
-  if (batch_.vectorized) {
-    if (probe) {
-      ProcessProbeVectorized(batch);
-    } else {
-      ProcessScanVectorized(batch);
-    }
+  if (batch.positions != nullptr) {
+    ProcessProbe(batch);
   } else {
-    if (probe) {
-      ProcessProbeTuple(batch);
-    } else {
-      ProcessScanTuple(batch);
-    }
+    ProcessScan(batch);
   }
   return true;
 }
 
-void BitmapFilterOp::ProcessScanVectorized(const ClassBatch& batch) {
+void BitmapFilterOp::ProcessScan(const ClassBatch& batch) {
   for (size_t k = 0; k < bitmaps_.size(); ++k) {
     sel_.clear();
     bitmaps_[k].ForEachSetBitInRange(
@@ -80,38 +157,15 @@ void BitmapFilterOp::ProcessScanVectorized(const ClassBatch& batch) {
   }
 }
 
-void BitmapFilterOp::ProcessScanTuple(const ClassBatch& batch) {
-  for (uint64_t row = batch.begin; row < batch.end; ++row) {
-    for (size_t k = 0; k < bitmaps_.size(); ++k) {
-      if (!bitmaps_[k].Test(row) || !residuals_[k].Matches(row)) continue;
-      const BoundQuery& bound = bound_[slot_base_ + k];
-      (*batch.matches)[slot_base_ + k].Push(bound.PackedKeyAt(row),
-                                            bound.MeasureAt(row));
-    }
-  }
-}
-
-void BitmapFilterOp::ProcessProbeVectorized(const ClassBatch& batch) {
+void BitmapFilterOp::ProcessProbe(const ClassBatch& batch) {
   for (size_t k = 0; k < bitmaps_.size(); ++k) {
     QueryMatchBatch& out = (*batch.matches)[slot_base_ + k];
     ForEachIndexMemberBatch(
         bitmaps_[k], batch.begin, batch.end, residuals_[k],
-        bound_[slot_base_ + k], batch_.EffectiveBatchRows(),
+        bound_[slot_base_ + k], batch_rows_,
         [&out](const uint64_t* keys, const double* values, size_t n) {
           out.Append(keys, values, n);
         });
-  }
-}
-
-void BitmapFilterOp::ProcessProbeTuple(const ClassBatch& batch) {
-  for (size_t i = 0; i < batch.num_positions; ++i) {
-    const uint64_t row = batch.positions[i];
-    for (size_t k = 0; k < bitmaps_.size(); ++k) {
-      if (!bitmaps_[k].Test(row) || !residuals_[k].Matches(row)) continue;
-      const BoundQuery& bound = bound_[slot_base_ + k];
-      (*batch.matches)[slot_base_ + k].Push(bound.PackedKeyAt(row),
-                                            bound.MeasureAt(row));
-    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fault_injector.h"
 #include "common/str_util.h"
 #include "exec/bound_query.h"
 #include "exec/operators/aggregate_sink.h"
@@ -13,8 +14,6 @@
 #include "exec/operators/probe_source.h"
 #include "exec/operators/scan_source.h"
 #include "exec/operators/star_join_filter.h"
-#include "exec/shared_star_join_internal.h"
-#include "exec/star_join.h"
 #include "index/bitmap.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -24,12 +23,6 @@
 
 namespace starshare {
 namespace {
-
-using internal::AllQueriesMask;
-using internal::BuildMemberBitmap;
-using internal::BuildSharedFilters;
-using internal::MemberBindFault;
-using internal::SharedDimFilter;
 
 size_t EffectiveWorkers(const ParallelPolicy& policy) {
   if (!policy.engaged()) return 1;
@@ -51,6 +44,14 @@ struct MorselMatches {
 };
 
 }  // namespace
+
+Status MemberBindFault(const DimensionalQuery& query) {
+  if (FaultHit("exec.bind_query", query.id())) {
+    return Status::Internal(
+        StrFormat("injected execution fault binding query %d", query.id()));
+  }
+  return Status::Ok();
+}
 
 Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
   const StarSchema& schema = *req.schema;
@@ -209,8 +210,8 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
     positions = unioned.ToPositions();
   }
 
-  // Standalone callers (the operator-level entry points) get a throwaway
-  // lowered tree; the Executor/Engine pass the session's tree instead.
+  // Standalone callers (tests, benches) get a throwaway lowered tree; the
+  // Executor/Engine pass the session's tree instead.
   PhysicalPlan local_plan;
   PhysicalPlan* phys = req.phys;
   const LoweredClassNodes* nodes = req.nodes;
@@ -233,7 +234,6 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
   }
 
   const Table& table = view.table();
-  const bool vectorized = req.policy.batch.vectorized;
   const size_t batch_rows = req.policy.batch.EffectiveBatchRows();
 
   // Shared dimension filters (scan path). Built inside the StarJoinFilter
@@ -259,14 +259,13 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
                       : static_cast<BatchOperator*>(&scan_src);
     std::optional<StarJoinFilterOp> sjf_op;
     if (!req.probe) {
-      sjf_op.emplace(chain, d, filters, all_mask, bound, n_live_hash,
-                     vectorized);
+      sjf_op.emplace(chain, d, filters, all_mask, bound, n_live_hash);
       chain = &*sjf_op;
     }
     std::optional<BitmapFilterOp> bmf_op;
     if (!index_bitmaps.empty()) {
       bmf_op.emplace(chain, index_bitmaps, index_residuals, bound,
-                     n_live_hash, req.policy.batch);
+                     n_live_hash, batch_rows);
       chain = &*bmf_op;
     }
     ClassBatch batch;

@@ -1,8 +1,8 @@
 // The one shared-class execution path. Every way the engine evaluates a
-// query class — the serial §3.1/§3.2/§3.3 operators, their morsel-parallel
-// twins, single-query execution, the Engine's fact-table fallback — builds
-// a SharedClassRequest and runs it here. The request is executed as a
-// lowered physical operator chain (plan/lowering.h):
+// query class — the §3.1/§3.2/§3.3 shared operators, serial or
+// morsel-parallel, single-query execution, the Engine's fact-table
+// fallback — builds a SharedClassRequest and runs it here. The request is
+// executed as a lowered physical operator chain (plan/lowering.h):
 //
 //   Aggregate <- [Route] <- [BitmapFilter] <- [StarJoinFilter] <- source
 //
@@ -25,15 +25,25 @@
 #include "common/status.h"
 #include "cube/materialized_view.h"
 #include "exec/memory_budget.h"
-#include "exec/shared_operators.h"
+#include "exec/operators/star_join_filter.h"
 #include "exec/spill.h"
 #include "parallel/policy.h"
 #include "plan/lowering.h"
 #include "plan/physical_plan.h"
 #include "query/query.h"
+#include "query/result.h"
 #include "storage/disk_model.h"
 
 namespace starshare {
+
+// Per-class outcome: `statuses[i]` pairs with `results[i]`, hash members
+// first, then index members, each in request order. A member with an error
+// status produced no result, but the other members' results are still
+// valid: sharing couples the queries' I/O, not their fates.
+struct SharedOutcome {
+  std::vector<QueryResult> results;
+  std::vector<Status> statuses;
+};
 
 // One shared-class execution request. `hash_queries` must be empty when
 // `probe` is set (§3.2 has no scan side). When `phys`/`nodes` are null the
@@ -66,12 +76,19 @@ struct SharedClassRequest {
   SpillConfig spill;
 };
 
-// Executes the class. Statuses/results are slot-aligned: hash members
-// first, then index members, each in request order — exactly the contract
-// of the pre-DAG Try*/Parallel* operators, including per-member
-// degradation (a private-phase fault fails one member; a shared-pass
-// device fault fails every surviving member).
+// Executes the class with graceful per-member degradation. A fault hitting
+// one member during its private phase (binding at "exec.bind_query",
+// bitmap construction at "exec.build_bitmap" / "disk.read_index", keyed by
+// query id) fails only that member; the survivors run the shared pass. A
+// device fault during the shared pass itself ("disk.read_seq" /
+// "disk.read_rand") fails every surviving member. The call returns an
+// error Status only for malformed input: no members, or more than
+// kMaxClassQueries hash members (index members, for a probe).
 Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req);
+
+// Fires the per-member bind fault site ("exec.bind_query"), if armed for
+// this query.
+Status MemberBindFault(const DimensionalQuery& query);
 
 }  // namespace starshare
 

@@ -1,6 +1,6 @@
 // The composable batch-pull operator family the physical plan executes.
-// Every §3 shared operator — serial or morsel-parallel, vectorized or
-// tuple-at-a-time — is one chain of these operators:
+// Every §3 shared operator — serial or morsel-parallel — is one chain of
+// these operators:
 //
 //   ScanSourceOp / ProbeSourceOp  ->  StarJoinFilterOp / BitmapFilterOp
 //
@@ -38,10 +38,6 @@ struct QueryMatchBatch {
     values.clear();
   }
   size_t size() const { return keys.size(); }
-  void Push(uint64_t key, double value) {
-    keys.push_back(key);
-    values.push_back(value);
-  }
   void Append(const uint64_t* k, const double* v, size_t n) {
     keys.insert(keys.end(), k, k + n);
     values.insert(values.end(), v, v + n);

@@ -1,26 +1,21 @@
-// Batch-at-a-time (vectorized) execution plumbing shared by the star-join
-// operators and the view builder.
+// Batch-at-a-time execution plumbing shared by the star-join operators and
+// the view builder.
 //
-// The vectorized paths regroup the rows a scan hands them into fixed-size
-// batches and run each physical step — shared dimension filtering, selection,
-// key translation, measure gather, aggregation — as a tight loop over the
-// whole batch instead of one fused loop per tuple. Batching is purely a
-// CPU-side regrouping: page-exact I/O charging happens in the scan callbacks
-// exactly as on the tuple-at-a-time path, so every page count (and therefore
-// the 1998 modeled I/O time) is unchanged by construction. Per-query
-// aggregation order is also unchanged — batches are contiguous, ascending row
-// ranges and every kernel preserves ascending row order within a batch — so
-// results are bit-identical to tuple-at-a-time execution (DESIGN.md
-// "Vectorized execution model").
+// Every scan hands its rows on in fixed-size batches, and each physical
+// step — shared dimension filtering, selection, key translation, measure
+// gather, aggregation — runs as a tight loop over the whole batch.
+// Batching is purely a CPU-side regrouping: page-exact I/O charging happens
+// as the scan source crosses pages, so every page count (and therefore the
+// 1998 modeled I/O time) is independent of the batch size. Per-query
+// aggregation order is too — batches are contiguous, ascending row ranges
+// and every kernel preserves ascending row order within a batch — so each
+// aggregate folds its rows in row order from 0.0, exactly like the
+// brute-force oracle (DESIGN.md "Vectorized execution model").
 
 #ifndef STARSHARE_EXEC_VECTOR_BATCH_H_
 #define STARSHARE_EXEC_VECTOR_BATCH_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <utility>
-
-#include "common/macros.h"
 
 namespace starshare {
 
@@ -29,59 +24,13 @@ namespace starshare {
 // masks / selection / key / value scratch stays cache-resident.
 inline constexpr size_t kDefaultBatchRows = 1024;
 
-// How an operator should run its CPU loop. The default is the vectorized
-// engine; tuple-at-a-time remains available as the reference implementation
-// (benchmark baseline, determinism oracle in tests).
 struct BatchConfig {
-  bool vectorized = true;
   // Rows per batch; 0 falls back to kDefaultBatchRows.
   size_t batch_rows = kDefaultBatchRows;
 
   size_t EffectiveBatchRows() const {
     return batch_rows == 0 ? kDefaultBatchRows : batch_rows;
   }
-
-  static BatchConfig TupleAtATime() { return BatchConfig{false, 0}; }
-};
-
-// Regroups the contiguous, ascending (begin, end) row ranges a page scan
-// produces into fixed-size batches and hands each batch to `flush(b, e)`.
-// Ranges must be adjacent (end of one == begin of the next), which both
-// ScanPages and ScanRowRange guarantee; batches may therefore span page
-// boundaries without touching how those pages were charged.
-template <typename FlushFn>
-class RowBatcher {
- public:
-  RowBatcher(size_t batch_rows, FlushFn flush)
-      : batch_rows_(batch_rows == 0 ? kDefaultBatchRows : batch_rows),
-        flush_(std::move(flush)) {}
-
-  void AddRange(uint64_t begin, uint64_t end) {
-    if (begin == end) return;
-    if (begin_ == end_) {
-      begin_ = begin;
-      end_ = end;
-    } else {
-      SS_DCHECK(begin == end_);
-      end_ = end;
-    }
-    while (end_ - begin_ >= batch_rows_) {
-      flush_(begin_, begin_ + batch_rows_);
-      begin_ += batch_rows_;
-    }
-  }
-
-  // Flushes the trailing partial batch. Call once, after the scan.
-  void Finish() {
-    if (end_ > begin_) flush_(begin_, end_);
-    begin_ = end_ = 0;
-  }
-
- private:
-  size_t batch_rows_;
-  FlushFn flush_;
-  uint64_t begin_ = 0;
-  uint64_t end_ = 0;
 };
 
 }  // namespace starshare

@@ -21,9 +21,8 @@ struct ParallelPolicy {
   // Rows per morsel; 0 picks MorselDispatcher::DefaultMorselRows (page
   // aligned, >= 16K rows, ~8 morsels per worker).
   uint64_t morsel_rows = 0;
-  // CPU execution style of each worker (and of the merge): vectorized
-  // batches by default, tuple-at-a-time as the reference path. Orthogonal
-  // to the parallelism knobs — either style runs at any worker count.
+  // Rows per batch, in each worker and in the serial driver. Orthogonal to
+  // the parallelism knobs: any batch size runs at any worker count.
   BatchConfig batch;
 
   bool engaged() const { return pool != nullptr && parallelism > 1; }

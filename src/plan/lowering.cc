@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/macros.h"
-#include "exec/shared_operators.h"
+#include "exec/operators/star_join_filter.h"
 
 namespace starshare {
 

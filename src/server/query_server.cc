@@ -7,7 +7,7 @@
 
 #include "common/macros.h"
 #include "common/str_util.h"
-#include "exec/shared_operators.h"
+#include "exec/operators/star_join_filter.h"
 #include "obs/metrics.h"
 #include "server/admission.h"
 

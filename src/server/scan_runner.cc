@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "exec/operators/class_pipeline.h"
 #include "exec/operators/star_join_filter.h"
-#include "exec/shared_operators.h"
 #include "obs/metrics.h"
 #include "parallel/morsel.h"
 #include "parallel/morsel_pipeline.h"
@@ -13,10 +13,6 @@
 
 namespace starshare {
 namespace {
-
-using internal::AllQueriesMask;
-using internal::BuildSharedFilters;
-using internal::MemberBindFault;
 
 // One morsel's per-member match streams, ascending row order (the same
 // buffer the batch class pipeline merges).
@@ -117,14 +113,12 @@ void ContinuousScanRun::DriveSegment(const DoneFn& on_done) {
   const CircularScanCursor::Segment seg = cursor_.Next();
   const Table& table = view_.table();
   const size_t n = members_.size();
-  const bool vectorized = policy_.batch.vectorized;
 
   if (!policy_.engaged()) {
     // Serial drive: the run's one resumable scan source, repositioned on
     // this segment, under a fresh filter over the current membership.
     scan_.Reset(seg.begin, seg.end);
-    StarJoinFilterOp filter(&scan_, disk_, filters_, all_mask_, bound_, n,
-                            vectorized);
+    StarJoinFilterOp filter(&scan_, disk_, filters_, all_mask_, bound_, n);
     std::vector<QueryMatchBatch> matches(n);
     ClassBatch batch;
     batch.matches = &matches;
@@ -156,7 +150,7 @@ void ContinuousScanRun::DriveSegment(const DoneFn& on_done) {
           ScanSourceOp scan_src(table, wdisk, seg.begin + morsel.begin,
                                 seg.begin + morsel.end, batch_rows);
           StarJoinFilterOp filter(&scan_src, wdisk, filters_, all_mask_,
-                                  bound_, n, vectorized);
+                                  bound_, n);
           std::vector<QueryMatchBatch> matches(n);
           ClassBatch batch;
           batch.matches = &matches;

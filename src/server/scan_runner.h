@@ -38,7 +38,7 @@
 #include "exec/bound_query.h"
 #include "exec/operators/operator.h"
 #include "exec/operators/scan_source.h"
-#include "exec/shared_star_join_internal.h"
+#include "exec/operators/star_join_filter.h"
 #include "parallel/policy.h"
 #include "parallel/scan_cursor.h"
 #include "query/result.h"
@@ -120,7 +120,7 @@ class ContinuousScanRun {
   // survivors instead of erasing in place.
   std::vector<BoundQuery> bound_;
   std::vector<Member> members_;
-  std::vector<internal::SharedDimFilter> filters_;
+  std::vector<SharedDimFilter> filters_;
   uint32_t all_mask_ = 0;
 };
 

@@ -94,9 +94,10 @@ class DiskModel {
   // ---- Fault surfacing ----------------------------------------------------
   // The page-touch methods above are called from deep inside scan/probe
   // template loops, so an injected device fault cannot return an error
-  // directly; it is latched here and the fallible operator entry points
-  // (exec/star_join.h, exec/shared_operators.h) consume it with TakeFault()
-  // after the loop. The first fault per scope wins.
+  // directly; it is latched here and the class pipeline
+  // (exec/operators/class_pipeline.h) and the server's continuous scan
+  // consume it with TakeFault() after the loop. The first fault per scope
+  // wins.
 
   bool has_fault() const { return has_fault_; }
 

@@ -1,5 +1,6 @@
-// Batch cube construction: BuildMany / Engine::MaterializeViews must be
-// byte-identical to one-at-a-time builds while scanning the source once.
+// Batch cube construction: a shared ViewBuilder::Build /
+// Engine::MaterializeViews must be byte-identical to one-at-a-time builds
+// while scanning the source once.
 
 #include <gtest/gtest.h>
 
@@ -26,10 +27,11 @@ TEST(BatchBuilderTest, MatchesIndividualBuilds) {
   for (const char* text : {"X'Y'Z", "X''Y''", "XZ'", "Y'"}) {
     targets.push_back(GroupBySpec::Parse(text, schema).value());
   }
-  const auto batch = builder.BuildMany(base, targets, disk);
+  const auto batch = builder.Build(base, targets, disk);
   ASSERT_EQ(batch.size(), targets.size());
   for (size_t i = 0; i < targets.size(); ++i) {
-    const auto single = builder.Build(base, targets[i], disk, "single");
+    const auto single =
+        std::move(builder.Build(base, {targets[i]}, disk).front());
     ASSERT_EQ(batch[i]->num_rows(), single->num_rows()) << i;
     for (uint64_t r = 0; r < single->num_rows(); ++r) {
       for (size_t c = 0; c < single->num_key_columns(); ++c) {
@@ -55,7 +57,7 @@ TEST(BatchBuilderTest, ScansSourceExactlyOnce) {
       GroupBySpec::Parse("Y''", schema).value(),
   };
   disk.ResetStats();
-  const auto batch = builder.BuildMany(base, targets, disk);
+  const auto batch = builder.Build(base, targets, disk);
   EXPECT_EQ(disk.stats().seq_pages_read, base_table->num_pages());
   uint64_t written = 0;
   for (const auto& t : batch) written += t->num_pages();
@@ -70,7 +72,7 @@ TEST(BatchBuilderTest, ClusteredBatchIsSorted) {
   MaterializedView base(schema, GroupBySpec::Base(schema),
                         base_table.get());
   ViewBuilder builder(schema);
-  const auto batch = builder.BuildMany(
+  const auto batch = builder.Build(
       base, {GroupBySpec::Parse("X'Y'", schema).value()}, disk,
       /*clustered=*/true);
   const Table& t = *batch[0];

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <map>
 #include <vector>
 
@@ -20,17 +19,7 @@
 namespace starshare {
 namespace {
 
-bool BitIdentical(const QueryResult& a, const QueryResult& b) {
-  if (a.num_rows() != b.num_rows()) return false;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (a.rows()[i].keys != b.rows()[i].keys) return false;
-    if (std::memcmp(&a.rows()[i].value, &b.rows()[i].value,
-                    sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
+using testing::BitIdentical;
 
 class ChaosTest : public ::testing::Test {
  protected:

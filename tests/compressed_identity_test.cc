@@ -23,19 +23,8 @@
 namespace starshare {
 namespace {
 
+using testing::BitIdentical;
 using testing::BruteForce;
-
-bool BitIdentical(const QueryResult& a, const QueryResult& b) {
-  if (a.num_rows() != b.num_rows()) return false;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (a.rows()[i].keys != b.rows()[i].keys) return false;
-    if (std::memcmp(&a.rows()[i].value, &b.rows()[i].value,
-                    sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 // Same forced-class construction the paper benches use: one class on
 // `view_name` with an explicit join method per query.
@@ -135,7 +124,7 @@ TEST(CompressedIdentityTest, FullMatrixBitIdenticalToUncompressed) {
             " batch=" + std::to_string(batch_rows) +
             " budget=" + std::to_string(budget);
         packed.engine->set_parallelism(threads);
-        packed.engine->set_batch_config(BatchConfig{true, batch_rows});
+        packed.engine->set_batch_rows(batch_rows);
         packed.engine->set_memory_budget_bytes(budget);
 
         IoStats io;

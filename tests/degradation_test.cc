@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "common/fault_injector.h"
@@ -17,25 +16,10 @@
 namespace starshare {
 namespace {
 
+using testing::BitIdentical;
 using testing::BruteForce;
 using testing::MakeQuery;
 using testing::SmallSchema;
-
-// Bitwise equality: same groups, and values identical to the last ulp.
-// Surviving members of a shared class must take exactly the same code path
-// (same accumulation order) as in a fault-free run, so nothing weaker than
-// memcmp is acceptable.
-bool BitIdentical(const QueryResult& a, const QueryResult& b) {
-  if (a.num_rows() != b.num_rows()) return false;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (a.rows()[i].keys != b.rows()[i].keys) return false;
-    if (std::memcmp(&a.rows()[i].value, &b.rows()[i].value,
-                    sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 class DegradationTest : public ::testing::Test {
  protected:

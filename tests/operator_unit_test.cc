@@ -16,8 +16,7 @@
 #include "exec/operators/probe_source.h"
 #include "exec/operators/scan_source.h"
 #include "exec/operators/star_join_filter.h"
-#include "exec/shared_star_join_internal.h"
-#include "exec/star_join.h"
+#include "exec/vector_batch.h"
 #include "schema/data_generator.h"
 #include "tests/test_util.h"
 
@@ -168,11 +167,11 @@ TEST_F(OperatorUnitTest, StarJoinFilterStreamsAreBatchSizeInvariant) {
   DimensionalQuery q2 =
       MakeQuery(schema_, 2, "X''Y''Z'", {{"Y", 0, {1, 3, 5, 7}}});
   const std::vector<const DimensionalQuery*> members = {&q1, &q2};
-  const std::vector<internal::SharedDimFilter> filters =
-      internal::BuildSharedFilters(schema_, members, *view_);
-  const uint32_t all_mask = internal::AllQueriesMask(members.size());
+  const std::vector<SharedDimFilter> filters =
+      BuildSharedFilters(schema_, members, *view_);
+  const uint32_t all_mask = AllQueriesMask(members.size());
 
-  const auto run = [&](uint64_t batch_rows, bool vectorized,
+  const auto run = [&](uint64_t batch_rows,
                        std::vector<QueryMatchBatch>& out) {
     std::vector<BoundQuery> bound;
     bound.emplace_back(schema_, q1, *view_);
@@ -180,38 +179,33 @@ TEST_F(OperatorUnitTest, StarJoinFilterStreamsAreBatchSizeInvariant) {
     DiskModel disk;
     ScanSourceOp scan(*table_, disk, 0, table_->num_rows(), batch_rows);
     StarJoinFilterOp filter(&scan, disk, filters, all_mask, bound,
-                            /*n_hash=*/2, vectorized);
+                            /*n_hash=*/2);
     Drain(filter, 2, out);
     return disk.stats();
   };
 
   std::vector<QueryMatchBatch> reference;
-  const IoStats reference_stats = run(1024, true, reference);
+  const IoStats reference_stats = run(1024, reference);
   EXPECT_GT(reference[0].size() + reference[1].size(), 0u);
   for (const uint64_t batch_rows : {uint64_t{1}, uint64_t{13}}) {
-    for (const bool vectorized : {true, false}) {
-      std::vector<QueryMatchBatch> out;
-      const IoStats stats = run(batch_rows, vectorized, out);
-      EXPECT_TRUE(SameStream(out[0], reference[0]))
-          << "batch=" << batch_rows << " vec=" << vectorized;
-      EXPECT_TRUE(SameStream(out[1], reference[1]))
-          << "batch=" << batch_rows << " vec=" << vectorized;
-      EXPECT_EQ(stats, reference_stats)
-          << "batch=" << batch_rows << " vec=" << vectorized;
-    }
+    std::vector<QueryMatchBatch> out;
+    const IoStats stats = run(batch_rows, out);
+    EXPECT_TRUE(SameStream(out[0], reference[0])) << "batch=" << batch_rows;
+    EXPECT_TRUE(SameStream(out[1], reference[1])) << "batch=" << batch_rows;
+    EXPECT_EQ(stats, reference_stats) << "batch=" << batch_rows;
   }
 }
 
 TEST_F(OperatorUnitTest, StarJoinFilterEmptyInputEmitsNoMatches) {
   DimensionalQuery q1 = MakeQuery(schema_, 1, "X'Y'Z", {{"X", 1, {0, 2}}});
   const std::vector<const DimensionalQuery*> members = {&q1};
-  const std::vector<internal::SharedDimFilter> filters =
-      internal::BuildSharedFilters(schema_, members, *view_);
+  const std::vector<SharedDimFilter> filters =
+      BuildSharedFilters(schema_, members, *view_);
   std::vector<BoundQuery> bound;
   bound.emplace_back(schema_, q1, *view_);
   DiskModel disk;
   ScanSourceOp scan(*table_, disk, 0, 0, 1024);
-  StarJoinFilterOp filter(&scan, disk, filters, 1u, bound, 1, true);
+  StarJoinFilterOp filter(&scan, disk, filters, 1u, bound, 1);
   std::vector<QueryMatchBatch> out;
   Drain(filter, 1, out);
   EXPECT_EQ(out[0].size(), 0u);
@@ -223,7 +217,7 @@ TEST_F(OperatorUnitTest, BitmapFilterScanAndProbeModesAgree) {
   DiskModel index_disk;
   Bitmap bitmap;
   std::vector<const DimPredicate*> residual;
-  ASSERT_TRUE(internal::BuildMemberBitmap(schema_, q, *view_, index_disk,
+  ASSERT_TRUE(BuildMemberBitmap(schema_, q, *view_, index_disk,
                                           &bitmap, &residual)
                   .ok());
   std::vector<Bitmap> bitmaps;
@@ -234,42 +228,40 @@ TEST_F(OperatorUnitTest, BitmapFilterScanAndProbeModesAgree) {
   ASSERT_FALSE(positions.empty());
 
   // §3.3 scan mode: slice the bitmap over each scanned span.
-  const auto run_scan = [&](const BatchConfig& cfg,
+  const auto run_scan = [&](size_t batch_rows,
                             std::vector<QueryMatchBatch>& out) {
     std::vector<BoundQuery> bound;
     bound.emplace_back(schema_, q, *view_);
     DiskModel disk;
-    ScanSourceOp scan(*table_, disk, 0, table_->num_rows(),
-                      cfg.EffectiveBatchRows());
+    ScanSourceOp scan(*table_, disk, 0, table_->num_rows(), batch_rows);
     BitmapFilterOp filter(&scan, bitmaps, residuals, bound, /*slot_base=*/0,
-                          cfg);
+                          batch_rows);
     Drain(filter, 1, out);
   };
   // §3.2 probe mode: route the probed positions through the member.
-  const auto run_probe = [&](const BatchConfig& cfg,
+  const auto run_probe = [&](size_t batch_rows,
                              std::vector<QueryMatchBatch>& out) {
     std::vector<BoundQuery> bound;
     bound.emplace_back(schema_, q, *view_);
     DiskModel disk;
     ProbeSourceOp probe(*table_, disk, positions.data(), positions.size());
     BitmapFilterOp filter(&probe, bitmaps, residuals, bound, /*slot_base=*/0,
-                          cfg);
+                          batch_rows);
     Drain(filter, 1, out);
   };
 
   std::vector<QueryMatchBatch> reference;
-  run_scan(BatchConfig{true, 1024}, reference);
+  run_scan(1024, reference);
   ASSERT_GT(reference[0].size(), 0u);
-  for (const BatchConfig cfg :
-       {BatchConfig{true, 1}, BatchConfig{false, 0}, BatchConfig{true, 9}}) {
+  for (const size_t batch_rows : {size_t{1}, size_t{9}, size_t{1024}}) {
     std::vector<QueryMatchBatch> scan_out;
-    run_scan(cfg, scan_out);
+    run_scan(batch_rows, scan_out);
     EXPECT_TRUE(SameStream(scan_out[0], reference[0]))
-        << "scan vec=" << cfg.vectorized << " batch=" << cfg.batch_rows;
+        << "scan batch=" << batch_rows;
     std::vector<QueryMatchBatch> probe_out;
-    run_probe(cfg, probe_out);
+    run_probe(batch_rows, probe_out);
     EXPECT_TRUE(SameStream(probe_out[0], reference[0]))
-        << "probe vec=" << cfg.vectorized << " batch=" << cfg.batch_rows;
+        << "probe batch=" << batch_rows;
   }
 }
 
@@ -284,7 +276,8 @@ TEST_F(OperatorUnitTest, BitmapFilterOverEmptyProbeEmitsNothing) {
   bound.emplace_back(schema_, q, *view_);
   DiskModel disk;
   ProbeSourceOp probe(*table_, disk, nullptr, 0);
-  BitmapFilterOp filter(&probe, bitmaps, residuals, bound, 0, BatchConfig());
+  BitmapFilterOp filter(&probe, bitmaps, residuals, bound, 0,
+                        kDefaultBatchRows);
   std::vector<QueryMatchBatch> out;
   Drain(filter, 1, out);
   EXPECT_EQ(out[0].size(), 0u);
@@ -299,12 +292,12 @@ TEST_F(OperatorUnitTest, AggregateSinkFoldIsChunkingInvariant) {
   {
     const std::vector<const DimensionalQuery*> members = {&q};
     const auto filters =
-        internal::BuildSharedFilters(schema_, members, *view_);
+        BuildSharedFilters(schema_, members, *view_);
     std::vector<BoundQuery> bound;
     bound.emplace_back(schema_, q, *view_);
     DiskModel disk;
     ScanSourceOp scan(*table_, disk, 0, table_->num_rows(), 1024);
-    StarJoinFilterOp filter(&scan, disk, filters, 1u, bound, 1, true);
+    StarJoinFilterOp filter(&scan, disk, filters, 1u, bound, 1);
     Drain(filter, 1, stream);
   }
   ASSERT_GT(stream[0].size(), 2u);
@@ -340,19 +333,8 @@ TEST_F(OperatorUnitTest, AggregateSinkFoldIsChunkingInvariant) {
   }());
   const QueryResult lopsided = fold({1, stream[0].size() / 2});
 
-  const auto identical = [](const QueryResult& a, const QueryResult& b) {
-    if (a.num_rows() != b.num_rows()) return false;
-    for (size_t i = 0; i < a.num_rows(); ++i) {
-      if (a.rows()[i].keys != b.rows()[i].keys) return false;
-      if (std::memcmp(&a.rows()[i].value, &b.rows()[i].value,
-                      sizeof(double)) != 0) {
-        return false;
-      }
-    }
-    return true;
-  };
-  EXPECT_TRUE(identical(rows_of_one, whole));
-  EXPECT_TRUE(identical(lopsided, whole));
+  EXPECT_TRUE(testing::BitIdentical(rows_of_one, whole));
+  EXPECT_TRUE(testing::BitIdentical(lopsided, whole));
 }
 
 }  // namespace

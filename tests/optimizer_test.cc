@@ -3,7 +3,7 @@
 #include <map>
 
 #include "core/engine.h"
-#include "exec/shared_operators.h"
+#include "exec/operators/star_join_filter.h"
 #include "opt/and_or_dag.h"
 #include "opt/local_optimizer.h"
 #include "plan/lowering.h"

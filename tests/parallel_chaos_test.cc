@@ -6,14 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "common/fault_injector.h"
 #include "core/paper_workload.h"
-#include "exec/shared_operators.h"
-#include "exec/shared_operators.h"
+#include "exec/operators/class_pipeline.h"
 #include "parallel/thread_pool.h"
 #include "schema/data_generator.h"
 #include "tests/test_util.h"
@@ -21,20 +19,9 @@
 namespace starshare {
 namespace {
 
+using testing::BitIdentical;
 using testing::MakeQuery;
 using testing::SmallSchema;
-
-bool BitIdentical(const QueryResult& a, const QueryResult& b) {
-  if (a.num_rows() != b.num_rows()) return false;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (a.rows()[i].keys != b.rows()[i].keys) return false;
-    if (std::memcmp(&a.rows()[i].value, &b.rows()[i].value,
-                    sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 class ParallelChaosTest : public ::testing::Test {
  protected:
@@ -57,6 +44,22 @@ class ParallelChaosTest : public ::testing::Test {
   }
   void TearDown() override { FaultInjector::Instance().Disable(); }
 
+  // One shared class under `policy`.
+  Result<SharedOutcome> RunClass(
+      const std::vector<const DimensionalQuery*>& hash,
+      const std::vector<const DimensionalQuery*>& index, bool probe,
+      DiskModel& disk, const ParallelPolicy& policy) {
+    SharedClassRequest req;
+    req.schema = &schema_;
+    req.hash_queries = hash;
+    req.index_queries = index;
+    req.view = view_.get();
+    req.disk = &disk;
+    req.policy = policy;
+    req.probe = probe;
+    return ExecuteSharedClass(req);
+  }
+
   StarSchema schema_ = SmallSchema();
   std::unique_ptr<Table> table_;
   std::unique_ptr<MaterializedView> view_;
@@ -69,8 +72,7 @@ TEST_F(ParallelChaosTest, BindFaultIsolatesOneMemberUnderParallelism) {
   ParallelPolicy policy{&pool, 4, 0, BatchConfig()};
 
   DiskModel clean_disk;
-  auto clean = ParallelSharedScanStarJoin(schema_, query_ptrs_, *view_,
-                                          clean_disk, policy);
+  auto clean = RunClass(query_ptrs_, {}, /*probe=*/false, clean_disk, policy);
   ASSERT_TRUE(clean.ok());
 
   FaultInjector::Instance().Enable(11);
@@ -79,7 +81,7 @@ TEST_F(ParallelChaosTest, BindFaultIsolatesOneMemberUnderParallelism) {
   FaultInjector::Instance().Arm("exec.bind_query", spec);
   DiskModel disk;
   auto faulted =
-      ParallelSharedScanStarJoin(schema_, query_ptrs_, *view_, disk, policy);
+      RunClass(query_ptrs_, {}, /*probe=*/false, disk, policy);
   FaultInjector::Instance().Disable();
 
   ASSERT_TRUE(faulted.ok());
@@ -103,8 +105,7 @@ TEST_F(ParallelChaosTest, BitmapFaultIsolatesOneIndexMember) {
                                                 query_ptrs_[2]};
 
   DiskModel clean_disk;
-  auto clean = ParallelSharedHybridStarJoin(schema_, hash, index, *view_,
-                                            clean_disk, policy);
+  auto clean = RunClass(hash, index, /*probe=*/false, clean_disk, policy);
   ASSERT_TRUE(clean.ok());
 
   FaultInjector::Instance().Enable(12);
@@ -113,7 +114,7 @@ TEST_F(ParallelChaosTest, BitmapFaultIsolatesOneIndexMember) {
   FaultInjector::Instance().Arm("exec.build_bitmap", spec);
   DiskModel disk;
   auto faulted =
-      ParallelSharedHybridStarJoin(schema_, hash, index, *view_, disk, policy);
+      RunClass(hash, index, /*probe=*/false, disk, policy);
   FaultInjector::Instance().Disable();
 
   ASSERT_TRUE(faulted.ok());
@@ -140,7 +141,7 @@ TEST_F(ParallelChaosTest, MidScanDeviceFaultFailsEverySurvivorOnly) {
 
   DiskModel disk;
   auto outcome =
-      ParallelSharedScanStarJoin(schema_, query_ptrs_, *view_, disk, policy);
+      RunClass(query_ptrs_, {}, /*probe=*/false, disk, policy);
   const uint64_t device_fires = FaultInjector::Instance().fires("disk.read_seq");
   FaultInjector::Instance().Disable();
 
@@ -170,7 +171,7 @@ TEST_F(ParallelChaosTest, IndexProbeDeviceFaultFailsAllSurvivors) {
   FaultInjector::Instance().Arm("disk.read_rand", device);
   DiskModel disk;
   auto outcome =
-      ParallelSharedIndexStarJoin(schema_, members, *view_, disk, policy);
+      RunClass({}, members, /*probe=*/true, disk, policy);
   FaultInjector::Instance().Disable();
 
   ASSERT_TRUE(outcome.ok());

@@ -13,8 +13,7 @@
 
 #include "core/paper_workload.h"
 #include "cube/view_builder.h"
-#include "exec/shared_operators.h"
-#include "exec/shared_operators.h"
+#include "exec/operators/class_pipeline.h"
 #include "parallel/thread_pool.h"
 #include "schema/data_generator.h"
 #include "tests/test_util.h"
@@ -22,20 +21,9 @@
 namespace starshare {
 namespace {
 
+using testing::BitIdentical;
 using testing::MakeQuery;
 using testing::SmallSchema;
-
-bool BitIdentical(const QueryResult& a, const QueryResult& b) {
-  if (a.num_rows() != b.num_rows()) return false;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (a.rows()[i].keys != b.rows()[i].keys) return false;
-    if (std::memcmp(&a.rows()[i].value, &b.rows()[i].value,
-                    sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 void ExpectOutcomesBitIdentical(const SharedOutcome& serial,
                                 const SharedOutcome& parallel,
@@ -82,6 +70,22 @@ class ParallelDeterminismTest : public ::testing::Test {
     for (const auto& q : queries_) query_ptrs_.push_back(&q);
   }
 
+  // One shared class under `policy` (serial by default).
+  Result<SharedOutcome> RunClass(
+      const std::vector<const DimensionalQuery*>& hash,
+      const std::vector<const DimensionalQuery*>& index, bool probe,
+      DiskModel& disk, const ParallelPolicy& policy = ParallelPolicy()) {
+    SharedClassRequest req;
+    req.schema = &schema_;
+    req.hash_queries = hash;
+    req.index_queries = index;
+    req.view = view_.get();
+    req.disk = &disk;
+    req.policy = policy;
+    req.probe = probe;
+    return ExecuteSharedClass(req);
+  }
+
   StarSchema schema_ = SmallSchema();
   std::unique_ptr<Table> table_;
   std::unique_ptr<MaterializedView> view_;
@@ -91,16 +95,14 @@ class ParallelDeterminismTest : public ::testing::Test {
 
 TEST_F(ParallelDeterminismTest, SharedScanBitIdenticalAtEveryThreadCount) {
   DiskModel serial_disk;
-  auto serial = TrySharedHybridStarJoin(schema_, query_ptrs_, {}, *view_,
-                                        serial_disk);
+  auto serial = RunClass(query_ptrs_, {}, /*probe=*/false, serial_disk);
   ASSERT_TRUE(serial.ok());
 
   for (const size_t threads : {1u, 2u, 3u, 8u}) {
     ThreadPool pool(threads);
     ParallelPolicy policy{&pool, threads, 0, BatchConfig()};
     DiskModel disk;
-    auto parallel =
-        ParallelSharedScanStarJoin(schema_, query_ptrs_, *view_, disk, policy);
+    auto parallel = RunClass(query_ptrs_, {}, /*probe=*/false, disk, policy);
     ASSERT_TRUE(parallel.ok()) << threads << " threads";
     ExpectOutcomesBitIdentical(*serial, *parallel, "scan");
     EXPECT_EQ(disk.stats(), serial_disk.stats())
@@ -115,15 +117,14 @@ TEST_F(ParallelDeterminismTest, SharedIndexBitIdenticalAtEveryThreadCount) {
       query_ptrs_[0], query_ptrs_[2], query_ptrs_[4]};
 
   DiskModel serial_disk;
-  auto serial = TrySharedIndexStarJoin(schema_, members, *view_, serial_disk);
+  auto serial = RunClass({}, members, /*probe=*/true, serial_disk);
   ASSERT_TRUE(serial.ok());
 
   for (const size_t threads : {1u, 2u, 3u, 8u}) {
     ThreadPool pool(threads);
     ParallelPolicy policy{&pool, threads, 0, BatchConfig()};
     DiskModel disk;
-    auto parallel =
-        ParallelSharedIndexStarJoin(schema_, members, *view_, disk, policy);
+    auto parallel = RunClass({}, members, /*probe=*/true, disk, policy);
     ASSERT_TRUE(parallel.ok()) << threads << " threads";
     ExpectOutcomesBitIdentical(*serial, *parallel, "index");
     EXPECT_EQ(disk.stats(), serial_disk.stats())
@@ -138,16 +139,14 @@ TEST_F(ParallelDeterminismTest, SharedHybridBitIdenticalAtEveryThreadCount) {
                                                 query_ptrs_[4]};
 
   DiskModel serial_disk;
-  auto serial =
-      TrySharedHybridStarJoin(schema_, hash, index, *view_, serial_disk);
+  auto serial = RunClass(hash, index, /*probe=*/false, serial_disk);
   ASSERT_TRUE(serial.ok());
 
   for (const size_t threads : {1u, 2u, 3u, 8u}) {
     ThreadPool pool(threads);
     ParallelPolicy policy{&pool, threads, 0, BatchConfig()};
     DiskModel disk;
-    auto parallel = ParallelSharedHybridStarJoin(schema_, hash, index, *view_,
-                                                 disk, policy);
+    auto parallel = RunClass(hash, index, /*probe=*/false, disk, policy);
     ASSERT_TRUE(parallel.ok()) << threads << " threads";
     ExpectOutcomesBitIdentical(*serial, *parallel, "hybrid");
     EXPECT_EQ(disk.stats(), serial_disk.stats())
@@ -159,15 +158,13 @@ TEST_F(ParallelDeterminismTest, TinyMorselsChangeNothing) {
   // One-page morsels maximize scheduling freedom (hundreds of morsels over
   // 8 workers): the ordered merge must still reproduce the serial bits.
   DiskModel serial_disk;
-  auto serial = TrySharedHybridStarJoin(schema_, query_ptrs_, {}, *view_,
-                                        serial_disk);
+  auto serial = RunClass(query_ptrs_, {}, /*probe=*/false, serial_disk);
   ASSERT_TRUE(serial.ok());
 
   ThreadPool pool(8);
   ParallelPolicy policy{&pool, 8, table_->rows_per_page(), BatchConfig()};
   DiskModel disk;
-  auto parallel =
-      ParallelSharedScanStarJoin(schema_, query_ptrs_, *view_, disk, policy);
+  auto parallel = RunClass(query_ptrs_, {}, /*probe=*/false, disk, policy);
   ASSERT_TRUE(parallel.ok());
   ExpectOutcomesBitIdentical(*serial, *parallel, "tiny-morsel scan");
   EXPECT_EQ(disk.stats(), serial_disk.stats());
@@ -179,12 +176,10 @@ TEST_F(ParallelDeterminismTest, OversizedClassIsTypedErrorNotAbort) {
   ThreadPool pool(2);
   ParallelPolicy policy{&pool, 2, 0, BatchConfig()};
   DiskModel disk;
-  auto scan =
-      ParallelSharedScanStarJoin(schema_, too_many, *view_, disk, policy);
+  auto scan = RunClass(too_many, {}, /*probe=*/false, disk, policy);
   EXPECT_FALSE(scan.ok());
   EXPECT_EQ(scan.status().code(), StatusCode::kInvalidArgument);
-  auto index =
-      ParallelSharedIndexStarJoin(schema_, too_many, *view_, disk, policy);
+  auto index = RunClass({}, too_many, /*probe=*/true, disk, policy);
   EXPECT_FALSE(index.ok());
   EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument);
 }
@@ -220,7 +215,7 @@ TEST(ParallelEngineTest, ParallelismKnobReproducesSerialPaperWorkload) {
   engine.set_parallelism(1);  // back to the paper configuration
 }
 
-TEST(ParallelEngineTest, BuildManyParallelMatchesSerialBuild) {
+TEST(ParallelEngineTest, ParallelViewBuildMatchesSerialBuild) {
   StarSchema schema = SmallSchema();
   DataGenerator gen(schema, {.num_rows = 40'000, .seed = 99});
   auto base_table = gen.Generate("base");
@@ -232,13 +227,12 @@ TEST(ParallelEngineTest, BuildManyParallelMatchesSerialBuild) {
   }
 
   DiskModel serial_disk;
-  const auto serial = builder.BuildMany(base, targets, serial_disk);
+  const auto serial = builder.Build(base, targets, serial_disk);
 
   ThreadPool pool(4);
-  ParallelPolicy policy{&pool, 4, 0, BatchConfig()};
+  builder.set_parallel_policy(ParallelPolicy{&pool, 4, 0, BatchConfig()});
   DiskModel parallel_disk;
-  const auto parallel =
-      builder.BuildManyParallel(base, targets, parallel_disk, policy);
+  const auto parallel = builder.Build(base, targets, parallel_disk);
 
   ASSERT_EQ(parallel.size(), serial.size());
   for (size_t i = 0; i < serial.size(); ++i) {

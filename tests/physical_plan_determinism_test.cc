@@ -1,11 +1,12 @@
 // The physical-plan DAG's hard invariant: every execution path is one
 // lowered operator chain pulled by a driver, and the driver's knobs —
-// thread count, batch size, vectorized vs tuple-at-a-time — never change
-// the bits. Results must be BYTE-identical and charged IoStats EXACTLY
-// equal across {1, 4} threads x {1, 1024} batch rows for all three shared
-// operators, the unshared single-query baseline, and view builds; and the
-// tree that executed must hash to the same shape as the planning-time
-// lowering of the same GlobalPlan.
+// thread count, batch size — never change the bits. Results must be
+// BYTE-identical and charged IoStats EXACTLY equal across {1, 4} threads x
+// {1, 1024} batch rows for all three shared operators, the unshared
+// single-query baseline, and view builds; the reference runs match the
+// independent oracles (tests/oracles.h, testing::BruteForce); and the tree
+// that executed must hash to the same shape as the planning-time lowering
+// of the same GlobalPlan.
 
 #include <gtest/gtest.h>
 
@@ -18,48 +19,48 @@
 #include "cube/view_builder.h"
 #include "exec/executor.h"
 #include "exec/operators/class_pipeline.h"
-#include "exec/star_join.h"
 #include "parallel/thread_pool.h"
 #include "plan/lowering.h"
 #include "schema/data_generator.h"
+#include "tests/oracles.h"
 #include "tests/test_util.h"
 
 namespace starshare {
 namespace {
 
+using testing::BitIdentical;
+using testing::BruteForce;
 using testing::MakeQuery;
 using testing::SmallSchema;
 
 struct DriverConfig {
   size_t threads;
   size_t batch_rows;
-  bool vectorized;
 };
 
-// The acceptance matrix, plus the tuple-at-a-time reference style.
+// The acceptance matrix.
 std::vector<DriverConfig> Matrix() {
-  return {{1, 1, true},  {1, 1024, true},  {4, 1, true},
-          {4, 1024, true}, {1, 0, false},  {4, 0, false}};
+  return {{1, 1}, {1, 1024}, {4, 1}, {4, 1024}};
 }
 
 const char* Label(const DriverConfig& c) {
   static thread_local std::string label;
   label = "threads=" + std::to_string(c.threads) +
-          " batch=" + std::to_string(c.batch_rows) +
-          (c.vectorized ? " vec" : " tuple");
+          " batch=" + std::to_string(c.batch_rows);
   return label.c_str();
 }
 
-bool BitIdentical(const QueryResult& a, const QueryResult& b) {
-  if (a.num_rows() != b.num_rows()) return false;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (a.rows()[i].keys != b.rows()[i].keys) return false;
-    if (std::memcmp(&a.rows()[i].value, &b.rows()[i].value,
-                    sizeof(double)) != 0) {
-      return false;
-    }
+// The driver policy for one matrix point; `pool` keeps its threads alive.
+ParallelPolicy PolicyFor(const DriverConfig& config,
+                         std::unique_ptr<ThreadPool>& pool) {
+  ParallelPolicy policy;
+  policy.batch.batch_rows = config.batch_rows;
+  if (config.threads > 1) {
+    pool = std::make_unique<ThreadPool>(config.threads);
+    policy.pool = pool.get();
+    policy.parallelism = config.threads;
   }
-  return true;
+  return policy;
 }
 
 void ExpectTablesBitIdentical(const Table& a, const Table& b,
@@ -118,13 +119,7 @@ class PhysicalPlanDeterminismTest : public ::testing::Test {
                     const std::vector<const DimensionalQuery*>& index,
                     bool probe, const DriverConfig& config) {
     std::unique_ptr<ThreadPool> pool;
-    ParallelPolicy policy;
-    policy.batch = BatchConfig{config.vectorized, config.batch_rows};
-    if (config.threads > 1) {
-      pool = std::make_unique<ThreadPool>(config.threads);
-      policy.pool = pool.get();
-      policy.parallelism = config.threads;
-    }
+    const ParallelPolicy policy = PolicyFor(config, pool);
     DiskModel disk;
     PhysicalPlan phys;
     const LoweredClassNodes nodes = LowerSharedClass(
@@ -147,8 +142,16 @@ class PhysicalPlanDeterminismTest : public ::testing::Test {
   void ExpectClassInvariant(const std::vector<const DimensionalQuery*>& hash,
                             const std::vector<const DimensionalQuery*>& index,
                             bool probe, const char* label) {
-    const ClassRun reference = RunClass(hash, index, probe, {1, 0, true});
+    const ClassRun reference = RunClass(hash, index, probe, {1, 0});
     ASSERT_TRUE(reference.outcome.ok()) << label;
+    for (size_t i = 0; i < reference.outcome->results.size(); ++i) {
+      const DimensionalQuery& q =
+          i < hash.size() ? *hash[i] : *index[i - hash.size()];
+      EXPECT_TRUE(reference.outcome->statuses[i].ok()) << label;
+      EXPECT_TRUE(BitIdentical(reference.outcome->results[i],
+                               BruteForce(schema_, *table_, q)))
+          << label << " Q" << q.id() << " diverged from the brute-force fold";
+    }
     for (const DriverConfig& config : Matrix()) {
       const ClassRun run = RunClass(hash, index, probe, config);
       ASSERT_TRUE(run.outcome.ok()) << label << " " << Label(config);
@@ -200,20 +203,19 @@ TEST_F(PhysicalPlanDeterminismTest, SharedHybridInvariantAcrossDrivers) {
 TEST_F(PhysicalPlanDeterminismTest, SinglesMatchTheStarJoinOracles) {
   for (const DimensionalQuery* q : query_ptrs_) {
     DiskModel oracle_disk;
-    const Result<QueryResult> oracle =
-        TryHashStarJoin(schema_, *q, *view_, oracle_disk);
-    ASSERT_TRUE(oracle.ok());
+    const QueryResult oracle =
+        testing::HashStarJoin(schema_, *q, *view_, oracle_disk);
     for (const size_t batch_rows : {size_t{1}, size_t{1024}}) {
       DiskModel disk;
       Executor exec(schema_, disk);
       ParallelPolicy policy;
-      policy.batch = BatchConfig{true, batch_rows};
+      policy.batch.batch_rows = batch_rows;
       exec.set_parallel_policy(policy);
       PhysicalPlan phys;
       const Result<QueryResult> mine =
           exec.ExecuteSingle(*q, *view_, JoinMethod::kHashScan, &phys);
       ASSERT_TRUE(mine.ok()) << "q" << q->id();
-      EXPECT_TRUE(BitIdentical(mine.value(), oracle.value()))
+      EXPECT_TRUE(BitIdentical(mine.value(), oracle))
           << "hash single q" << q->id() << " batch " << batch_rows;
       EXPECT_EQ(disk.stats(), oracle_disk.stats())
           << "hash single q" << q->id() << " batch " << batch_rows;
@@ -222,20 +224,19 @@ TEST_F(PhysicalPlanDeterminismTest, SinglesMatchTheStarJoinOracles) {
   for (const DimensionalQuery* q :
        {query_ptrs_[0], query_ptrs_[2], query_ptrs_[4]}) {
     DiskModel oracle_disk;
-    const Result<QueryResult> oracle =
-        TryIndexStarJoin(schema_, *q, *view_, oracle_disk);
-    ASSERT_TRUE(oracle.ok());
+    const QueryResult oracle =
+        testing::IndexStarJoin(schema_, *q, *view_, oracle_disk);
     for (const size_t batch_rows : {size_t{1}, size_t{1024}}) {
       DiskModel disk;
       Executor exec(schema_, disk);
       ParallelPolicy policy;
-      policy.batch = BatchConfig{true, batch_rows};
+      policy.batch.batch_rows = batch_rows;
       exec.set_parallel_policy(policy);
       PhysicalPlan phys;
       const Result<QueryResult> mine =
           exec.ExecuteSingle(*q, *view_, JoinMethod::kIndexProbe, &phys);
       ASSERT_TRUE(mine.ok()) << "q" << q->id();
-      EXPECT_TRUE(BitIdentical(mine.value(), oracle.value()))
+      EXPECT_TRUE(BitIdentical(mine.value(), oracle))
           << "index single q" << q->id() << " batch " << batch_rows;
       EXPECT_EQ(disk.stats(), oracle_disk.stats())
           << "index single q" << q->id() << " batch " << batch_rows;
@@ -267,20 +268,19 @@ TEST_F(PhysicalPlanDeterminismTest, UnsharedBaselineInvariantAcrossDrivers) {
     reference = exec.ExecutePlanUnshared(plan, &phys);
     reference_stats = disk.stats();
     reference_shape = phys.ShapeHash();
-    for (const auto& r : reference) ASSERT_TRUE(r.ok());
+    for (const auto& r : reference) {
+      ASSERT_TRUE(r.ok());
+      EXPECT_TRUE(
+          BitIdentical(r.result, BruteForce(schema_, *table_, *r.query)))
+          << "unshared Q" << r.query->id()
+          << " diverged from the brute-force fold";
+    }
   }
   for (const DriverConfig& config : Matrix()) {
     std::unique_ptr<ThreadPool> pool;
-    ParallelPolicy policy;
-    policy.batch = BatchConfig{config.vectorized, config.batch_rows};
-    if (config.threads > 1) {
-      pool = std::make_unique<ThreadPool>(config.threads);
-      policy.pool = pool.get();
-      policy.parallelism = config.threads;
-    }
     DiskModel disk;
     Executor exec(schema_, disk);
-    exec.set_parallel_policy(policy);
+    exec.set_parallel_policy(PolicyFor(config, pool));
     PhysicalPlan phys;
     const std::vector<ExecutedQuery> run = exec.ExecutePlanUnshared(plan, &phys);
     ASSERT_EQ(run.size(), reference.size());
@@ -297,48 +297,37 @@ TEST_F(PhysicalPlanDeterminismTest, UnsharedBaselineInvariantAcrossDrivers) {
 }
 
 // View builds execute the lowered Aggregate <- Scan tree under the same
-// matrix: Build, the shared-scan BuildMany, and its morsel-parallel driver
-// all emit bit-identical tables and charge exactly equal I/O.
+// matrix: one-target and shared builds, serial and morsel-parallel, all emit
+// the reference build's tables bit for bit and charge exactly its I/O.
 TEST_F(PhysicalPlanDeterminismTest, ViewBuildsInvariantAcrossDrivers) {
   std::vector<GroupBySpec> targets;
   for (const char* text : {"X'Y'Z", "X''Z'", "Y'"}) {
     targets.push_back(GroupBySpec::Parse(text, schema_).value());
   }
-
-  ViewBuilder reference_builder(schema_);
-  DiskModel ref_build_disk;
-  const std::unique_ptr<Table> ref_build = reference_builder.Build(
-      *view_, targets[0], ref_build_disk);
-  DiskModel ref_many_disk;
-  const std::vector<std::unique_ptr<Table>> ref_many =
-      reference_builder.BuildMany(*view_, targets, ref_many_disk);
+  const testing::ReferenceViews ref_one = testing::ReferenceBuild(
+      schema_, {view_.get()}, {targets[0]}, false, false);
+  const testing::ReferenceViews ref_many = testing::ReferenceBuild(
+      schema_, {view_.get()}, targets, false, false);
 
   for (const DriverConfig& config : Matrix()) {
-    ViewBuilder builder(schema_);
-    builder.set_batch_config(BatchConfig{config.vectorized, config.batch_rows});
-
-    DiskModel build_disk;
-    const std::unique_ptr<Table> built =
-        builder.Build(*view_, targets[0], build_disk);
-    ExpectTablesBitIdentical(*built, *ref_build, Label(config));
-    EXPECT_EQ(build_disk.stats(), ref_build_disk.stats()) << Label(config);
-
     std::unique_ptr<ThreadPool> pool;
-    ParallelPolicy policy;
-    policy.batch = builder.batch_config();
-    if (config.threads > 1) {
-      pool = std::make_unique<ThreadPool>(config.threads);
-      policy.pool = pool.get();
-      policy.parallelism = config.threads;
-    }
+    ViewBuilder builder(schema_);
+    builder.set_parallel_policy(PolicyFor(config, pool));
+
+    DiskModel one_disk;
+    const std::vector<std::unique_ptr<Table>> one =
+        builder.Build(*view_, {targets[0]}, one_disk);
+    ExpectTablesBitIdentical(*one[0], *ref_one.tables[0], Label(config));
+    EXPECT_EQ(one_disk.stats(), ref_one.io) << Label(config);
+
     DiskModel many_disk;
     const std::vector<std::unique_ptr<Table>> many =
-        builder.BuildManyParallel(*view_, targets, many_disk, policy);
-    ASSERT_EQ(many.size(), ref_many.size());
+        builder.Build(*view_, targets, many_disk);
+    ASSERT_EQ(many.size(), ref_many.tables.size());
     for (size_t i = 0; i < many.size(); ++i) {
-      ExpectTablesBitIdentical(*many[i], *ref_many[i], Label(config));
+      ExpectTablesBitIdentical(*many[i], *ref_many.tables[i], Label(config));
     }
-    EXPECT_EQ(many_disk.stats(), ref_many_disk.stats()) << Label(config);
+    EXPECT_EQ(many_disk.stats(), ref_many.io) << Label(config);
   }
 }
 
@@ -369,7 +358,7 @@ TEST(PhysicalPlanEngineTest, ExecutedShapeEqualsLoweredShapeUnderAnyDriver) {
   for (const size_t threads : {1u, 4u}) {
     for (const size_t batch_rows : {size_t{1}, size_t{1024}}) {
       engine.set_parallelism(threads);
-      engine.set_batch_config(BatchConfig{true, batch_rows});
+      engine.set_batch_rows(batch_rows);
       for (auto& r : engine.Execute(plan)) {
         ASSERT_TRUE(r.ok()) << r.status.ToString();
         EXPECT_TRUE(BitIdentical(r.result, reference.at(r.query->id())))
@@ -384,7 +373,7 @@ TEST(PhysicalPlanEngineTest, ExecutedShapeEqualsLoweredShapeUnderAnyDriver) {
     }
   }
   engine.set_parallelism(1);
-  engine.set_batch_config(BatchConfig());
+  engine.set_batch_rows(kDefaultBatchRows);
 }
 
 }  // namespace

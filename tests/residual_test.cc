@@ -8,8 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
-#include "exec/shared_operators.h"
-#include "exec/star_join.h"
+#include "exec/executor.h"
+#include "exec/operators/bitmap_filter.h"
+#include "exec/operators/class_pipeline.h"
 #include "tests/test_util.h"
 
 namespace starshare {
@@ -34,14 +35,42 @@ class ResidualTest : public ::testing::Test {
   const StarSchema& schema() const { return engine_->schema(); }
   const CostModel& cost() const { return engine_->cost_model(); }
 
+  // The single-query index star join (§3 Fig. 3) over the base table.
+  QueryResult IndexJoin(const DimensionalQuery& q) {
+    Result<QueryResult> result =
+        Executor(schema(), engine_->disk())
+            .ExecuteSingle(q, *base_, JoinMethod::kIndexProbe);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? std::move(*result) : QueryResult();
+  }
+
+  // One shared class over the base table; every member must succeed.
+  std::vector<QueryResult> RunClass(
+      const std::vector<const DimensionalQuery*>& hash,
+      const std::vector<const DimensionalQuery*>& index, bool probe) {
+    SharedClassRequest req;
+    req.schema = &schema();
+    req.hash_queries = hash;
+    req.index_queries = index;
+    req.view = base_;
+    req.disk = &engine_->disk();
+    req.probe = probe;
+    Result<SharedOutcome> outcome = ExecuteSharedClass(req);
+    EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
+    if (!outcome.ok()) return {};
+    for (const Status& status : outcome->statuses) {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    }
+    return std::move(outcome->results);
+  }
+
   std::unique_ptr<Engine> engine_;
   MaterializedView* base_ = nullptr;
   DimensionalQuery query_;
 };
 
 TEST_F(ResidualTest, IndexJoinWithResidualMatchesBruteForce) {
-  QueryResult got =
-      IndexStarJoin(schema(), query_, *base_, engine_->disk());
+  QueryResult got = IndexJoin(query_);
   EXPECT_TRUE(got.ApproxEquals(BruteForce(schema(), base_->table(), query_)));
 }
 
@@ -50,10 +79,8 @@ TEST_F(ResidualTest, ResidualFilterOnlyNarrowsResults) {
   // result must equal the fully-filtered brute force, not the candidate set.
   DimensionalQuery no_z = MakeQuery(schema(), 2, "X'Z'",
                                     {{"X", 1, {1}}, {"Y", 2, {0}}});
-  QueryResult with_z =
-      IndexStarJoin(schema(), query_, *base_, engine_->disk());
-  QueryResult without_z =
-      IndexStarJoin(schema(), no_z, *base_, engine_->disk());
+  QueryResult with_z = IndexJoin(query_);
+  QueryResult without_z = IndexJoin(no_z);
   EXPECT_LT(with_z.TotalValue(), without_z.TotalValue());
 }
 
@@ -81,8 +108,7 @@ TEST_F(ResidualTest, BuildResultBitmapReportsResiduals) {
 TEST_F(ResidualTest, SharedIndexJoinWithResidualsMatchesBruteForce) {
   DimensionalQuery other = MakeQuery(schema(), 2, "Y'",
                                      {{"Y", 1, {3}}, {"Z", 1, {0}}});
-  const auto results = SharedIndexStarJoin(schema(), {&query_, &other},
-                                           *base_, engine_->disk());
+  const auto results = RunClass({}, {&query_, &other}, /*probe=*/true);
   EXPECT_TRUE(results[0].ApproxEquals(
       BruteForce(schema(), base_->table(), query_)));
   EXPECT_TRUE(results[1].ApproxEquals(
@@ -91,8 +117,7 @@ TEST_F(ResidualTest, SharedIndexJoinWithResidualsMatchesBruteForce) {
 
 TEST_F(ResidualTest, HybridJoinWithResidualsMatchesBruteForce) {
   DimensionalQuery hash_q = MakeQuery(schema(), 2, "X''", {{"X", 2, {0}}});
-  const auto results = SharedHybridStarJoin(
-      schema(), {&hash_q}, {&query_}, *base_, engine_->disk());
+  const auto results = RunClass({&hash_q}, {&query_}, /*probe=*/false);
   EXPECT_TRUE(results[0].ApproxEquals(
       BruteForce(schema(), base_->table(), hash_q)));
   EXPECT_TRUE(results[1].ApproxEquals(

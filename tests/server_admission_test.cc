@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -22,20 +21,9 @@
 namespace starshare {
 namespace {
 
+using testing::BitIdentical;
 using testing::MakeQuery;
 using testing::SmallSchema;
-
-bool BitIdentical(const QueryResult& a, const QueryResult& b) {
-  if (a.num_rows() != b.num_rows()) return false;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (a.rows()[i].keys != b.rows()[i].keys) return false;
-    if (std::memcmp(&a.rows()[i].value, &b.rows()[i].value,
-                    sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 constexpr uint64_t kRows = 40'000;
 constexpr uint64_t kSeed = 20260809;

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "cube/view_builder.h"
-#include "exec/shared_operators.h"
-#include "exec/star_join.h"
+#include "exec/executor.h"
+#include "exec/operators/class_pipeline.h"
 #include "schema/data_generator.h"
 #include "tests/test_util.h"
 
@@ -40,6 +40,45 @@ class SharedOperatorsTest : public ::testing::Test {
     return out;
   }
 
+  // Runs one shared class (hash members first in the results) on disk_;
+  // every member must succeed.
+  std::vector<QueryResult> RunClass(
+      const std::vector<const DimensionalQuery*>& hash,
+      const std::vector<const DimensionalQuery*>& index, bool probe,
+      const MaterializedView* view = nullptr) {
+    SharedClassRequest req;
+    req.schema = &schema_;
+    req.hash_queries = hash;
+    req.index_queries = index;
+    req.view = view != nullptr ? view : base_.get();
+    req.disk = &disk_;
+    req.probe = probe;
+    Result<SharedOutcome> outcome = ExecuteSharedClass(req);
+    EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
+    if (!outcome.ok()) return {};
+    for (const Status& status : outcome->statuses) {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    }
+    return std::move(outcome->results);
+  }
+  std::vector<QueryResult> SharedScan(
+      const std::vector<const DimensionalQuery*>& queries,
+      const MaterializedView* view = nullptr) {
+    return RunClass(queries, {}, /*probe=*/false, view);
+  }
+  std::vector<QueryResult> SharedIndex(
+      const std::vector<const DimensionalQuery*>& queries) {
+    return RunClass({}, queries, /*probe=*/true);
+  }
+
+  // One query on its own (§3 Figs. 1 and 3) on disk_.
+  QueryResult Single(const DimensionalQuery& query, JoinMethod method) {
+    Result<QueryResult> result =
+        Executor(schema_, disk_).ExecuteSingle(query, *base_, method);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? std::move(*result) : QueryResult();
+  }
+
   StarSchema schema_ = SmallSchema();
   DiskModel disk_;
   std::unique_ptr<Table> base_table_;
@@ -48,8 +87,7 @@ class SharedOperatorsTest : public ::testing::Test {
 };
 
 TEST_F(SharedOperatorsTest, SharedScanMatchesBruteForce) {
-  const auto results =
-      SharedScanStarJoin(schema_, Ptrs(4), *base_, disk_);
+  const auto results = SharedScan(Ptrs(4));
   ASSERT_EQ(results.size(), 4u);
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_TRUE(results[i].ApproxEquals(
@@ -60,7 +98,7 @@ TEST_F(SharedOperatorsTest, SharedScanMatchesBruteForce) {
 
 TEST_F(SharedOperatorsTest, SharedScanChargesExactlyOneScan) {
   disk_.ResetStats();
-  SharedScanStarJoin(schema_, Ptrs(4), *base_, disk_);
+  SharedScan(Ptrs(4));
   EXPECT_EQ(disk_.stats().seq_pages_read, base_table_->num_pages());
   EXPECT_EQ(disk_.stats().rand_pages_read, 0u);
 }
@@ -68,22 +106,20 @@ TEST_F(SharedOperatorsTest, SharedScanChargesExactlyOneScan) {
 TEST_F(SharedOperatorsTest, SeparateScansChargeKTimes) {
   disk_.ResetStats();
   for (size_t i = 0; i < 4; ++i) {
-    HashStarJoin(schema_, queries_[i], *base_, disk_);
+    Single(queries_[i], JoinMethod::kHashScan);
   }
   EXPECT_EQ(disk_.stats().seq_pages_read, 4 * base_table_->num_pages());
 }
 
 TEST_F(SharedOperatorsTest, SharedScanSingleQueryEqualsPlainJoin) {
-  const auto shared = SharedScanStarJoin(schema_, Ptrs(1), *base_, disk_);
-  const QueryResult plain =
-      HashStarJoin(schema_, queries_[0], *base_, disk_);
+  const auto shared = SharedScan(Ptrs(1));
+  const QueryResult plain = Single(queries_[0], JoinMethod::kHashScan);
   ASSERT_EQ(shared.size(), 1u);
   EXPECT_TRUE(shared[0].ApproxEquals(plain));
 }
 
 TEST_F(SharedOperatorsTest, SharedIndexMatchesBruteForce) {
-  const auto results =
-      SharedIndexStarJoin(schema_, Ptrs(4), *base_, disk_);
+  const auto results = SharedIndex(Ptrs(4));
   ASSERT_EQ(results.size(), 4u);
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_TRUE(results[i].ApproxEquals(
@@ -96,13 +132,13 @@ TEST_F(SharedOperatorsTest, SharedIndexProbesUnionOnce) {
   // Individual probes.
   disk_.ResetStats();
   for (size_t i = 0; i < 3; ++i) {
-    IndexStarJoin(schema_, queries_[i], *base_, disk_);
+    Single(queries_[i], JoinMethod::kIndexProbe);
   }
   const uint64_t separate_rand = disk_.stats().rand_pages_read;
 
   // Shared probe over the OR of the result bitmaps.
   disk_.ResetStats();
-  SharedIndexStarJoin(schema_, Ptrs(3), *base_, disk_);
+  SharedIndex(Ptrs(3));
   const uint64_t shared_rand = disk_.stats().rand_pages_read;
 
   EXPECT_LT(shared_rand, separate_rand);
@@ -114,8 +150,8 @@ TEST_F(SharedOperatorsTest, HybridMatchesBruteForce) {
       &queries_[0], &queries_[1]};
   const auto index_queries = std::vector<const DimensionalQuery*>{
       &queries_[2], &queries_[3]};
-  const auto results = SharedHybridStarJoin(schema_, hash_queries,
-                                            index_queries, *base_, disk_);
+  const auto results =
+      RunClass(hash_queries, index_queries, /*probe=*/false);
   ASSERT_EQ(results.size(), 4u);
   // Order: hash queries first, then index queries.
   EXPECT_TRUE(results[0].ApproxEquals(
@@ -130,8 +166,7 @@ TEST_F(SharedOperatorsTest, HybridMatchesBruteForce) {
 
 TEST_F(SharedOperatorsTest, HybridChargesScanButNoProbe) {
   disk_.ResetStats();
-  SharedHybridStarJoin(schema_, {&queries_[0]}, {&queries_[3]}, *base_,
-                       disk_);
+  RunClass({&queries_[0]}, {&queries_[3]}, /*probe=*/false);
   // The index member rides the scan: no random I/O at all (§3.3).
   EXPECT_EQ(disk_.stats().seq_pages_read, base_table_->num_pages());
   EXPECT_EQ(disk_.stats().rand_pages_read, 0u);
@@ -141,7 +176,7 @@ TEST_F(SharedOperatorsTest, HybridChargesScanButNoProbe) {
 TEST_F(SharedOperatorsTest, SharedScanHandlesUnrestrictedQuery) {
   DimensionalQuery open = MakeQuery(schema_, 9, "X''", {});
   std::vector<const DimensionalQuery*> qs = {&open, &queries_[0]};
-  const auto results = SharedScanStarJoin(schema_, qs, *base_, disk_);
+  const auto results = SharedScan(qs);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(
       results[0].ApproxEquals(BruteForce(schema_, *base_table_, open)));
@@ -152,9 +187,9 @@ TEST_F(SharedOperatorsTest, SharedScanHandlesUnrestrictedQuery) {
 TEST_F(SharedOperatorsTest, SharedScanOnAggregateView) {
   ViewBuilder builder(schema_);
   auto spec = GroupBySpec::Parse("X'Y'Z", schema_).value();
-  auto table = builder.Build(*base_, spec, disk_);
+  auto table = std::move(builder.Build(*base_, {spec}, disk_).front());
   MaterializedView view(schema_, spec, table.get());
-  const auto results = SharedScanStarJoin(schema_, Ptrs(3), view, disk_);
+  const auto results = SharedScan(Ptrs(3), &view);
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_TRUE(results[i].ApproxEquals(
         BruteForce(schema_, *base_table_, queries_[i])))
@@ -167,8 +202,7 @@ TEST_F(SharedOperatorsTest, DisjointPredicatesDontCrossContaminate) {
   // only its own slice's groups.
   DimensionalQuery left = MakeQuery(schema_, 1, "X'", {{"X", 2, {0}}});
   DimensionalQuery right = MakeQuery(schema_, 2, "X'", {{"X", 2, {1}}});
-  const auto results =
-      SharedScanStarJoin(schema_, {&left, &right}, *base_, disk_);
+  const auto results = SharedScan({&left, &right});
   for (const auto& row : results[0].rows()) {
     EXPECT_LT(row.keys[0], 2);  // X' children of X1 are 0..1
   }
@@ -186,7 +220,7 @@ TEST_F(SharedOperatorsTest, ManyQueriesOneScan) {
   std::vector<const DimensionalQuery*> ptrs;
   for (const auto& q : many) ptrs.push_back(&q);
   disk_.ResetStats();
-  const auto results = SharedScanStarJoin(schema_, ptrs, *base_, disk_);
+  const auto results = SharedScan(ptrs);
   EXPECT_EQ(disk_.stats().seq_pages_read, base_table_->num_pages());
   double total = 0;
   for (const auto& r : results) total += r.TotalValue();

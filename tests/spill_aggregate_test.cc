@@ -29,20 +29,9 @@
 namespace starshare {
 namespace {
 
+using testing::BitIdentical;
 using testing::MakeQuery;
 using testing::SmallSchema;
-
-bool BitIdentical(const QueryResult& a, const QueryResult& b) {
-  if (a.num_rows() != b.num_rows()) return false;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (a.rows()[i].keys != b.rows()[i].keys) return false;
-    if (std::memcmp(&a.rows()[i].value, &b.rows()[i].value,
-                    sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 size_t NumScratchFiles(const std::filesystem::path& dir) {
   size_t n = 0;
@@ -100,7 +89,7 @@ class SpillAggregateTest : public ::testing::Test {
     req.index_queries = index;
     req.view = view_.get();
     req.disk = &disk;
-    req.policy.batch = BatchConfig{true, batch_rows};
+    req.policy.batch.batch_rows = batch_rows;
     if (pool != nullptr) {
       req.policy.pool = pool;
       req.policy.parallelism = threads;
@@ -329,14 +318,14 @@ TEST_F(SpillAggregateTest, ViewBuilderSpillsBitIdentically) {
   }
   ViewBuilder oracle_builder(schema_);
   DiskModel oracle_disk;
-  const auto oracle = oracle_builder.BuildMany(*view_, targets, oracle_disk);
+  const auto oracle = oracle_builder.Build(*view_, targets, oracle_disk);
 
   MemoryBudget budget(4096);
   ViewBuilder builder(schema_);
   builder.set_memory_budget(&budget, SpillConfig{scratch_.string()});
   const uint64_t runs_before = SpillRuns();
   DiskModel disk;
-  const auto built = builder.BuildMany(*view_, targets, disk);
+  const auto built = builder.Build(*view_, targets, disk);
   EXPECT_GT(SpillRuns(), runs_before) << "budgeted build never spilled";
   ASSERT_EQ(built.size(), oracle.size());
   for (size_t i = 0; i < oracle.size(); ++i) {
@@ -358,9 +347,9 @@ TEST_F(SpillAggregateTest, ViewBuilderSpillsBitIdentically) {
 
   // Same budget, morsel-parallel build: still bit-identical.
   ThreadPool pool(4);
-  ParallelPolicy policy{&pool, 4, 0, BatchConfig()};
+  builder.set_parallel_policy(ParallelPolicy{&pool, 4, 0, BatchConfig()});
   DiskModel par_disk;
-  const auto par = builder.BuildManyParallel(*view_, targets, par_disk, policy);
+  const auto par = builder.Build(*view_, targets, par_disk);
   ASSERT_EQ(par.size(), oracle.size());
   for (size_t i = 0; i < oracle.size(); ++i) {
     ASSERT_EQ(par[i]->num_rows(), oracle[i]->num_rows());

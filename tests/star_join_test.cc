@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "cube/view_builder.h"
-#include "exec/star_join.h"
+#include "exec/executor.h"
+#include "exec/operators/bitmap_filter.h"
+#include "exec/operators/star_join_filter.h"
 #include "schema/data_generator.h"
 #include "tests/test_util.h"
 
@@ -24,13 +26,30 @@ class StarJoinTest : public ::testing::Test {
     }
     ViewBuilder builder(schema_);
     mid_spec_ = GroupBySpec::Parse("X'Y'Z", schema_).value();
-    mid_table_ = builder.Build(*base_, mid_spec_, disk_);
+    mid_table_ = std::move(builder.Build(*base_, {mid_spec_}, disk_).front());
     mid_ = std::make_unique<MaterializedView>(schema_, mid_spec_,
                                               mid_table_.get());
     for (size_t d = 0; d < schema_.num_dims(); ++d) {
       mid_->BuildIndex(schema_, d, disk_);
     }
     disk_.ResetStats();
+  }
+
+  // The single-query star joins (§3 Figs. 1 and 3) on disk_.
+  QueryResult Run(const DimensionalQuery& q, const MaterializedView& view,
+                  JoinMethod method) {
+    Result<QueryResult> result =
+        Executor(schema_, disk_).ExecuteSingle(q, view, method);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? std::move(*result) : QueryResult();
+  }
+  QueryResult HashJoin(const DimensionalQuery& q,
+                       const MaterializedView& view) {
+    return Run(q, view, JoinMethod::kHashScan);
+  }
+  QueryResult IndexJoin(const DimensionalQuery& q,
+                        const MaterializedView& view) {
+    return Run(q, view, JoinMethod::kIndexProbe);
   }
 
   StarSchema schema_ = SmallSchema();
@@ -65,21 +84,21 @@ TEST_F(StarJoinTest, PassTableAtStoredLevel) {
 TEST_F(StarJoinTest, HashJoinMatchesBruteForce) {
   DimensionalQuery q = MakeQuery(schema_, 1, "X'Y''",
                                  {{"X", 2, {0}}, {"Z", 1, {0, 2}}});
-  QueryResult got = HashStarJoin(schema_, q, *base_, disk_);
+  QueryResult got = HashJoin(q, *base_);
   EXPECT_TRUE(got.ApproxEquals(BruteForce(schema_, *base_table_, q)));
 }
 
 TEST_F(StarJoinTest, HashJoinFromViewMatchesBase) {
   DimensionalQuery q = MakeQuery(schema_, 1, "X'Y''",
                                  {{"X", 2, {0}}, {"Z", 1, {0, 2}}});
-  QueryResult from_base = HashStarJoin(schema_, q, *base_, disk_);
-  QueryResult from_mid = HashStarJoin(schema_, q, *mid_, disk_);
+  QueryResult from_base = HashJoin(q, *base_);
+  QueryResult from_mid = HashJoin(q, *mid_);
   EXPECT_TRUE(from_mid.ApproxEquals(from_base));
 }
 
 TEST_F(StarJoinTest, HashJoinNoPredicates) {
   DimensionalQuery q = MakeQuery(schema_, 1, "X''Y''", {});
-  QueryResult got = HashStarJoin(schema_, q, *base_, disk_);
+  QueryResult got = HashJoin(q, *base_);
   EXPECT_TRUE(got.ApproxEquals(BruteForce(schema_, *base_table_, q)));
   EXPECT_EQ(got.num_rows(), 4u);
 }
@@ -87,7 +106,7 @@ TEST_F(StarJoinTest, HashJoinNoPredicates) {
 TEST_F(StarJoinTest, HashJoinChargesOneScan) {
   DimensionalQuery q = MakeQuery(schema_, 1, "X''", {{"X", 2, {0}}});
   disk_.ResetStats();
-  HashStarJoin(schema_, q, *base_, disk_);
+  HashJoin(q, *base_);
   EXPECT_EQ(disk_.stats().seq_pages_read, base_table_->num_pages());
   EXPECT_EQ(disk_.stats().rand_pages_read, 0u);
   EXPECT_EQ(disk_.stats().tuples_processed, base_table_->num_rows());
@@ -112,22 +131,22 @@ TEST_F(StarJoinTest, ResultBitmapIsSelectionExactly) {
 TEST_F(StarJoinTest, IndexJoinMatchesBruteForce) {
   DimensionalQuery q = MakeQuery(schema_, 1, "X'Y''",
                                  {{"X", 1, {2}}, {"Y", 2, {1}}});
-  QueryResult got = IndexStarJoin(schema_, q, *base_, disk_);
+  QueryResult got = IndexJoin(q, *base_);
   EXPECT_TRUE(got.ApproxEquals(BruteForce(schema_, *base_table_, q)));
 }
 
 TEST_F(StarJoinTest, IndexJoinFromViewMatchesHashJoin) {
   DimensionalQuery q = MakeQuery(schema_, 1, "X'Y''",
                                  {{"X", 1, {2}}, {"Y", 2, {1}}});
-  QueryResult via_index = IndexStarJoin(schema_, q, *mid_, disk_);
-  QueryResult via_hash = HashStarJoin(schema_, q, *mid_, disk_);
+  QueryResult via_index = IndexJoin(q, *mid_);
+  QueryResult via_hash = HashJoin(q, *mid_);
   EXPECT_TRUE(via_index.ApproxEquals(via_hash));
 }
 
 TEST_F(StarJoinTest, IndexJoinChargesRandomNotSequential) {
   DimensionalQuery q = MakeQuery(schema_, 1, "X", {{"X", 0, {7}}});
   disk_.ResetStats();
-  IndexStarJoin(schema_, q, *base_, disk_);
+  IndexJoin(q, *base_);
   EXPECT_EQ(disk_.stats().seq_pages_read, 0u);
   EXPECT_GT(disk_.stats().rand_pages_read, 0u);
   EXPECT_GT(disk_.stats().index_pages_read, 0u);
@@ -140,7 +159,7 @@ TEST_F(StarJoinTest, VerySelectiveIndexJoinTouchesFewPages) {
   DimensionalQuery q = MakeQuery(schema_, 1, "XYZ",
                                  {{"X", 0, {3}}, {"Y", 0, {4}}, {"Z", 0, {7}}});
   disk_.ResetStats();
-  QueryResult got = IndexStarJoin(schema_, q, *base_, disk_);
+  QueryResult got = IndexJoin(q, *base_);
   EXPECT_TRUE(got.ApproxEquals(BruteForce(schema_, *base_table_, q)));
   EXPECT_LT(disk_.stats().rand_pages_read, base_table_->num_pages());
 }
@@ -153,8 +172,8 @@ TEST_F(StarJoinTest, EmptySelectionYieldsEmptyResult) {
   pred.AddConjunct(s.dim(0), DimPredicate{0, 2, {1}});
   DimensionalQuery q(1, "empty", GroupBySpec::Parse("X''", s).value(),
                      std::move(pred));
-  EXPECT_EQ(HashStarJoin(schema_, q, *base_, disk_).num_rows(), 0u);
-  EXPECT_EQ(IndexStarJoin(schema_, q, *base_, disk_).num_rows(), 0u);
+  EXPECT_EQ(HashJoin(q, *base_).num_rows(), 0u);
+  EXPECT_EQ(IndexJoin(q, *base_).num_rows(), 0u);
 }
 
 // Aggregate sweep: both join methods agree with brute force for every agg.
@@ -164,7 +183,7 @@ class StarJoinAggTest : public StarJoinTest,
 TEST_P(StarJoinAggTest, HashJoinAllAggs) {
   DimensionalQuery q = MakeQuery(schema_, 1, "X''Z'", {{"Z", 1, {0, 1}}},
                                  GetParam());
-  QueryResult got = HashStarJoin(schema_, q, *base_, disk_);
+  QueryResult got = HashJoin(q, *base_);
   EXPECT_TRUE(got.ApproxEquals(BruteForce(schema_, *base_table_, q)));
 }
 

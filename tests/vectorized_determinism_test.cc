@@ -1,10 +1,11 @@
 // The vectorized engine's core promise (DESIGN.md "Vectorized execution
-// model"): batch-at-a-time execution is BIT-identical to the tuple-at-a-time
-// reference — same result doubles, same charged IoStats — for every shared
-// operator, the view builder, any batch size, and any thread count. Nothing
-// here uses tolerances: batches are contiguous ascending row ranges and every
-// kernel preserves ascending row order per query, so the aggregation fold is
-// the same floating-point sequence.
+// model"): at any batch size and thread count every aggregate folds its
+// rows in row order from 0.0, so batch execution is BIT-identical to an
+// independent oracle that folds the same way — testing::BruteForce for
+// query classes, testing::ReferenceBuild for view builds and refreshes —
+// and charges the same IoStats at every batch size. The fixture's view is
+// the base table, so the oracles fold exactly the rows the engine folds,
+// in the same order; nothing here uses tolerances.
 
 #include <gtest/gtest.h>
 
@@ -15,41 +16,20 @@
 
 #include "core/paper_workload.h"
 #include "cube/view_builder.h"
-#include "exec/shared_operators.h"
-#include "exec/shared_operators.h"
+#include "exec/operators/class_pipeline.h"
 #include "parallel/thread_pool.h"
 #include "schema/data_generator.h"
+#include "tests/oracles.h"
 #include "tests/test_util.h"
 
 namespace starshare {
 namespace {
 
+using testing::BitIdentical;
+using testing::BruteForce;
 using testing::MakeQuery;
+using testing::ReferenceBuild;
 using testing::SmallSchema;
-
-bool BitIdentical(const QueryResult& a, const QueryResult& b) {
-  if (a.num_rows() != b.num_rows()) return false;
-  for (size_t i = 0; i < a.num_rows(); ++i) {
-    if (a.rows()[i].keys != b.rows()[i].keys) return false;
-    if (std::memcmp(&a.rows()[i].value, &b.rows()[i].value,
-                    sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void ExpectOutcomesBitIdentical(const SharedOutcome& oracle,
-                                const SharedOutcome& vectorized,
-                                const char* label) {
-  ASSERT_EQ(oracle.results.size(), vectorized.results.size()) << label;
-  for (size_t i = 0; i < oracle.results.size(); ++i) {
-    EXPECT_EQ(oracle.statuses[i].code(), vectorized.statuses[i].code())
-        << label << " member " << i;
-    EXPECT_TRUE(BitIdentical(oracle.results[i], vectorized.results[i]))
-        << label << " member " << i << " diverged from tuple-at-a-time";
-  }
-}
 
 void ExpectTablesBitIdentical(const Table& a, const Table& b,
                               const char* label) {
@@ -105,6 +85,64 @@ class VectorizedDeterminismTest : public ::testing::Test {
     for (const auto& q : queries_) query_ptrs_.push_back(&q);
   }
 
+  // Runs one class at `batch_rows`, on `pool`'s threads when given.
+  SharedOutcome RunClass(const std::vector<const DimensionalQuery*>& hash,
+                         const std::vector<const DimensionalQuery*>& index,
+                         bool probe, size_t batch_rows, DiskModel& disk,
+                         ThreadPool* pool = nullptr) {
+    SharedClassRequest req;
+    req.schema = &schema_;
+    req.hash_queries = hash;
+    req.index_queries = index;
+    req.view = view_.get();
+    req.disk = &disk;
+    req.probe = probe;
+    req.policy.batch.batch_rows = batch_rows;
+    if (pool != nullptr) {
+      req.policy.pool = pool;
+      req.policy.parallelism = pool->num_threads();
+    }
+    Result<SharedOutcome> outcome = ExecuteSharedClass(req);
+    EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
+    return outcome.ok() ? std::move(*outcome) : SharedOutcome();
+  }
+
+  // Every member (hash members, then index members) succeeded with the
+  // brute-force result's exact bits.
+  void ExpectBruteForce(const SharedOutcome& outcome,
+                        const std::vector<const DimensionalQuery*>& hash,
+                        const std::vector<const DimensionalQuery*>& index,
+                        const std::string& label) {
+    ASSERT_EQ(outcome.results.size(), hash.size() + index.size()) << label;
+    for (size_t i = 0; i < outcome.results.size(); ++i) {
+      const DimensionalQuery& q =
+          i < hash.size() ? *hash[i] : *index[i - hash.size()];
+      EXPECT_TRUE(outcome.statuses[i].ok()) << label << " Q" << q.id();
+      EXPECT_TRUE(BitIdentical(outcome.results[i],
+                               BruteForce(schema_, *table_, q)))
+          << label << " Q" << q.id() << " diverged from the brute-force fold";
+    }
+  }
+
+  // At every batch size: brute-force bits, and the I/O of the default
+  // batch size.
+  void CheckEveryBatchSize(const std::vector<const DimensionalQuery*>& hash,
+                           const std::vector<const DimensionalQuery*>& index,
+                           bool probe, const char* label) {
+    DiskModel reference_disk;
+    RunClass(hash, index, probe, kDefaultBatchRows, reference_disk);
+    for (const size_t batch_rows : kBatchSizes) {
+      DiskModel disk;
+      const SharedOutcome outcome =
+          RunClass(hash, index, probe, batch_rows, disk);
+      ExpectBruteForce(outcome, hash, index,
+                       std::string(label) + " batch " +
+                           std::to_string(batch_rows));
+      EXPECT_EQ(disk.stats(), reference_disk.stats())
+          << label << " batch " << batch_rows << " charged different I/O";
+    }
+  }
+
   StarSchema schema_ = SmallSchema();
   std::unique_ptr<Table> table_;
   std::unique_ptr<MaterializedView> view_;
@@ -113,177 +151,116 @@ class VectorizedDeterminismTest : public ::testing::Test {
 };
 
 TEST_F(VectorizedDeterminismTest, SharedScanBitIdenticalAtEveryBatchSize) {
-  DiskModel oracle_disk;
-  auto oracle = TrySharedHybridStarJoin(schema_, query_ptrs_, {}, *view_,
-                                        oracle_disk,
-                                        BatchConfig::TupleAtATime());
-  ASSERT_TRUE(oracle.ok());
-
-  for (const size_t batch_rows : kBatchSizes) {
-    DiskModel disk;
-    auto vectorized = TrySharedHybridStarJoin(
-        schema_, query_ptrs_, {}, *view_, disk,
-        BatchConfig{true, batch_rows});
-    ASSERT_TRUE(vectorized.ok()) << "batch " << batch_rows;
-    ExpectOutcomesBitIdentical(*oracle, *vectorized, "scan");
-    EXPECT_EQ(disk.stats(), oracle_disk.stats())
-        << "batch " << batch_rows
-        << " scan charged different I/O than tuple-at-a-time";
-  }
+  CheckEveryBatchSize(query_ptrs_, {}, /*probe=*/false, "scan");
 }
 
 TEST_F(VectorizedDeterminismTest, SharedIndexBitIdenticalAtEveryBatchSize) {
-  std::vector<const DimensionalQuery*> members = {
-      query_ptrs_[0], query_ptrs_[2], query_ptrs_[4]};
-
-  DiskModel oracle_disk;
-  auto oracle = TrySharedIndexStarJoin(schema_, members, *view_, oracle_disk,
-                                       BatchConfig::TupleAtATime());
-  ASSERT_TRUE(oracle.ok());
-
-  for (const size_t batch_rows : kBatchSizes) {
-    DiskModel disk;
-    auto vectorized = TrySharedIndexStarJoin(schema_, members, *view_, disk,
-                                             BatchConfig{true, batch_rows});
-    ASSERT_TRUE(vectorized.ok()) << "batch " << batch_rows;
-    ExpectOutcomesBitIdentical(*oracle, *vectorized, "index");
-    EXPECT_EQ(disk.stats(), oracle_disk.stats())
-        << "batch " << batch_rows
-        << " index join charged different I/O than tuple-at-a-time";
-  }
+  CheckEveryBatchSize({}, {query_ptrs_[0], query_ptrs_[2], query_ptrs_[4]},
+                      /*probe=*/true, "index");
 }
 
 TEST_F(VectorizedDeterminismTest, SharedHybridBitIdenticalAtEveryBatchSize) {
-  std::vector<const DimensionalQuery*> hash = {query_ptrs_[1], query_ptrs_[3],
-                                               query_ptrs_[5]};
-  std::vector<const DimensionalQuery*> index = {query_ptrs_[0],
-                                                query_ptrs_[4]};
-
-  DiskModel oracle_disk;
-  auto oracle = TrySharedHybridStarJoin(schema_, hash, index, *view_,
-                                        oracle_disk,
-                                        BatchConfig::TupleAtATime());
-  ASSERT_TRUE(oracle.ok());
-
-  for (const size_t batch_rows : kBatchSizes) {
-    DiskModel disk;
-    auto vectorized = TrySharedHybridStarJoin(
-        schema_, hash, index, *view_, disk, BatchConfig{true, batch_rows});
-    ASSERT_TRUE(vectorized.ok()) << "batch " << batch_rows;
-    ExpectOutcomesBitIdentical(*oracle, *vectorized, "hybrid");
-    EXPECT_EQ(disk.stats(), oracle_disk.stats())
-        << "batch " << batch_rows
-        << " hybrid charged different I/O than tuple-at-a-time";
-  }
+  CheckEveryBatchSize({query_ptrs_[1], query_ptrs_[3], query_ptrs_[5]},
+                      {query_ptrs_[0], query_ptrs_[4]}, /*probe=*/false,
+                      "hybrid");
 }
 
-TEST_F(VectorizedDeterminismTest,
-       ParallelVectorizedMatchesSerialTupleAtATime) {
-  // The acceptance chain in one test: serial tuple-at-a-time (the 1998
-  // reference) == parallel vectorized at 1 and 4 threads, results and
-  // IoStats both.
-  std::vector<const DimensionalQuery*> hash = {query_ptrs_[1], query_ptrs_[3],
-                                               query_ptrs_[5]};
-  std::vector<const DimensionalQuery*> index = {query_ptrs_[0],
-                                                query_ptrs_[4]};
-
-  DiskModel oracle_disk;
-  auto oracle = TrySharedHybridStarJoin(schema_, hash, index, *view_,
-                                        oracle_disk,
-                                        BatchConfig::TupleAtATime());
-  ASSERT_TRUE(oracle.ok());
+TEST_F(VectorizedDeterminismTest, ParallelMatchesBruteForceAndSerialIo) {
+  // The acceptance chain in one test: the brute-force fold == the morsel
+  // driver at 1 and 4 threads, with the serial driver's IoStats.
+  const std::vector<const DimensionalQuery*> hash = {
+      query_ptrs_[1], query_ptrs_[3], query_ptrs_[5]};
+  const std::vector<const DimensionalQuery*> index = {query_ptrs_[0],
+                                                      query_ptrs_[4]};
+  DiskModel serial_disk;
+  RunClass(hash, index, /*probe=*/false, kDefaultBatchRows, serial_disk);
+  DiskModel index_serial_disk;
+  RunClass({}, index, /*probe=*/true, kDefaultBatchRows, index_serial_disk);
 
   for (const size_t threads : {1u, 4u}) {
     ThreadPool pool(threads);
-    ParallelPolicy policy{&pool, threads, 0, BatchConfig()};
     DiskModel disk;
-    auto parallel = ParallelSharedHybridStarJoin(schema_, hash, index, *view_,
-                                                 disk, policy);
-    ASSERT_TRUE(parallel.ok()) << threads << " threads";
-    ExpectOutcomesBitIdentical(*oracle, *parallel, "parallel hybrid");
-    EXPECT_EQ(disk.stats(), oracle_disk.stats())
-        << threads << "-thread vectorized hybrid charged different I/O "
-        << "than serial tuple-at-a-time";
+    const SharedOutcome parallel =
+        RunClass(hash, index, /*probe=*/false, kDefaultBatchRows, disk, &pool);
+    ExpectBruteForce(parallel, hash, index,
+                     "parallel hybrid, " + std::to_string(threads) +
+                         " threads");
+    EXPECT_EQ(disk.stats(), serial_disk.stats())
+        << threads << "-thread hybrid charged different I/O than serial";
 
     DiskModel index_disk;
-    DiskModel index_oracle_disk;
-    auto index_oracle =
-        TrySharedIndexStarJoin(schema_, index, *view_, index_oracle_disk,
-                               BatchConfig::TupleAtATime());
-    ASSERT_TRUE(index_oracle.ok());
-    auto index_parallel = ParallelSharedIndexStarJoin(schema_, index, *view_,
-                                                      index_disk, policy);
-    ASSERT_TRUE(index_parallel.ok()) << threads << " threads";
-    ExpectOutcomesBitIdentical(*index_oracle, *index_parallel,
-                               "parallel index");
-    EXPECT_EQ(index_disk.stats(), index_oracle_disk.stats());
+    const SharedOutcome index_parallel = RunClass(
+        {}, index, /*probe=*/true, kDefaultBatchRows, index_disk, &pool);
+    ExpectBruteForce(index_parallel, {}, index,
+                     "parallel index, " + std::to_string(threads) +
+                         " threads");
+    EXPECT_EQ(index_disk.stats(), index_serial_disk.stats());
   }
 }
 
-TEST_F(VectorizedDeterminismTest, ViewBuilderBitIdenticalToTupleAtATime) {
+TEST_F(VectorizedDeterminismTest, ViewBuildMatchesReferenceBuild) {
   std::vector<GroupBySpec> targets;
   for (const char* text : {"X'Y'Z", "X''Z'", "Y'"}) {
     targets.push_back(GroupBySpec::Parse(text, schema_).value());
   }
+  const testing::ReferenceViews reference =
+      ReferenceBuild(schema_, {view_.get()}, targets, /*clustered=*/false,
+                     /*compressed=*/false);
 
-  ViewBuilder oracle_builder(schema_);
-  oracle_builder.set_batch_config(BatchConfig::TupleAtATime());
-  DiskModel oracle_disk;
-  const auto oracle = oracle_builder.BuildMany(*view_, targets, oracle_disk);
-
-  for (const size_t batch_rows : kBatchSizes) {
+  const auto check = [&](const ParallelPolicy& policy, const char* label) {
     ViewBuilder builder(schema_);
-    builder.set_batch_config(BatchConfig{true, batch_rows});
+    builder.set_parallel_policy(policy);
     DiskModel disk;
-    const auto built = builder.BuildMany(*view_, targets, disk);
-    ASSERT_EQ(built.size(), oracle.size());
-    for (size_t i = 0; i < oracle.size(); ++i) {
-      ExpectTablesBitIdentical(*built[i], *oracle[i], "BuildMany");
+    const auto built = builder.Build(*view_, targets, disk);
+    ASSERT_EQ(built.size(), reference.tables.size()) << label;
+    for (size_t i = 0; i < built.size(); ++i) {
+      ExpectTablesBitIdentical(*built[i], *reference.tables[i], label);
     }
-    EXPECT_EQ(disk.stats(), oracle_disk.stats()) << "batch " << batch_rows;
+    EXPECT_EQ(disk.stats(), reference.io) << label;
+  };
+  for (const size_t batch_rows : kBatchSizes) {
+    ParallelPolicy policy;
+    policy.batch.batch_rows = batch_rows;
+    check(policy, ("batch " + std::to_string(batch_rows)).c_str());
   }
-
-  // BuildManyParallel with vectorized workers, 1 and 4 threads.
-  ViewBuilder builder(schema_);
   for (const size_t threads : {1u, 4u}) {
     ThreadPool pool(threads);
-    ParallelPolicy policy{&pool, threads, 0, BatchConfig()};
-    DiskModel disk;
-    const auto built =
-        builder.BuildManyParallel(*view_, targets, disk, policy);
-    ASSERT_EQ(built.size(), oracle.size());
-    for (size_t i = 0; i < oracle.size(); ++i) {
-      ExpectTablesBitIdentical(*built[i], *oracle[i], "BuildManyParallel");
-    }
-    EXPECT_EQ(disk.stats(), oracle_disk.stats()) << threads << " threads";
+    check(ParallelPolicy{&pool, threads, 0, BatchConfig()},
+          (std::to_string(threads) + " threads").c_str());
   }
 }
 
-TEST_F(VectorizedDeterminismTest, RefreshBitIdenticalToTupleAtATime) {
+TEST_F(VectorizedDeterminismTest, RefreshMatchesReferenceBuild) {
   const GroupBySpec target = GroupBySpec::Parse("X'Y'Z", schema_).value();
+  for (const size_t batch_rows : kBatchSizes) {
+    SCOPED_TRACE("batch " + std::to_string(batch_rows));
+    ViewBuilder builder(schema_);
+    ParallelPolicy policy;
+    policy.batch.batch_rows = batch_rows;
+    builder.set_parallel_policy(policy);
+    DiskModel build_disk;
+    auto table = std::move(builder.Build(*view_, {target}, build_disk).front());
+    const testing::ReferenceViews built =
+        ReferenceBuild(schema_, {view_.get()}, {target}, false, false);
+    ExpectTablesBitIdentical(*table, *built.tables[0], "Build");
+    EXPECT_EQ(build_disk.stats(), built.io);
 
-  ViewBuilder oracle_builder(schema_);
-  oracle_builder.set_batch_config(BatchConfig::TupleAtATime());
-  DiskModel oracle_disk;
-  auto oracle_table = oracle_builder.Build(*view_, target, oracle_disk);
-  MaterializedView oracle_view(schema_, target, oracle_table.get());
-  auto oracle_refreshed =
-      oracle_builder.Refresh(oracle_view, *view_, oracle_disk);
-
-  ViewBuilder builder(schema_);  // vectorized default
-  DiskModel disk;
-  auto table = builder.Build(*view_, target, disk);
-  ExpectTablesBitIdentical(*table, *oracle_table, "Build");
-  MaterializedView built_view(schema_, target, table.get());
-  auto refreshed = builder.Refresh(built_view, *view_, disk);
-  ExpectTablesBitIdentical(*refreshed, *oracle_refreshed, "Refresh");
-  EXPECT_EQ(disk.stats(), oracle_disk.stats());
+    MaterializedView view(schema_, target, table.get());
+    DiskModel disk;
+    auto refreshed = builder.Refresh(view, *view_, disk);
+    const testing::ReferenceViews want =
+        ReferenceBuild(schema_, {&view, view_.get()}, {target}, false, false);
+    ExpectTablesBitIdentical(*refreshed, *want.tables[0], "Refresh");
+    EXPECT_EQ(disk.stats(), want.io);
+  }
 }
 
-TEST(VectorizedEngineTest, VectorizedKnobReproducesTupleAtATimeWorkload) {
-  // End-to-end over the paper workload: the engine's vectorized default
-  // must reproduce the tuple-at-a-time engine bit-for-bit, including every
-  // charged page count, at 1 and 4 threads.
+TEST(VectorizedEngineTest, BatchAndThreadKnobsReproduceTheWorkload) {
+  // End to end over the paper workload: every {1,4} threads x {1,7,1024}
+  // batch rows run reproduces the 1-thread, 1024-row run bit for bit,
+  // including every charged page count. The paper's views fold real
+  // measures in another order than the base table does, so the brute-force
+  // check is approximate.
   Engine engine(StarSchema::PaperTestSchema());
   PaperWorkload::Setup(engine, /*rows=*/30'000, /*seed=*/7);
   std::vector<DimensionalQuery> queries =
@@ -291,26 +268,31 @@ TEST(VectorizedEngineTest, VectorizedKnobReproducesTupleAtATimeWorkload) {
   const GlobalPlan plan =
       engine.Optimize(queries, OptimizerKind::kGlobalGreedy);
 
-  engine.set_vectorized(false);
   engine.ConsumeIoStats();
-  std::map<int, QueryResult> oracle;
+  std::map<int, QueryResult> reference;
   for (auto& r : engine.Execute(plan)) {
     ASSERT_TRUE(r.ok()) << r.status.ToString();
-    oracle.emplace(r.query->id(), std::move(r.result));
+    EXPECT_TRUE(r.result.ApproxEquals(BruteForce(
+        engine.schema(), engine.base_view()->table(), *r.query)))
+        << "Q" << r.query->id() << " disagrees with the brute-force oracle";
+    reference.emplace(r.query->id(), std::move(r.result));
   }
-  const IoStats oracle_stats = engine.ConsumeIoStats();
+  const IoStats reference_stats = engine.ConsumeIoStats();
 
-  engine.set_vectorized(true);
   for (const size_t threads : {1u, 4u}) {
-    engine.set_parallelism(threads);
-    for (auto& r : engine.Execute(plan)) {
-      ASSERT_TRUE(r.ok()) << r.status.ToString();
-      EXPECT_TRUE(BitIdentical(r.result, oracle.at(r.query->id())))
-          << "Q" << r.query->id() << " vectorized at parallelism " << threads;
+    for (const size_t batch_rows : kBatchSizes) {
+      engine.set_parallelism(threads);
+      engine.set_batch_rows(batch_rows);
+      for (auto& r : engine.Execute(plan)) {
+        ASSERT_TRUE(r.ok()) << r.status.ToString();
+        EXPECT_TRUE(BitIdentical(r.result, reference.at(r.query->id())))
+            << "Q" << r.query->id() << " at parallelism " << threads
+            << ", batch " << batch_rows;
+      }
+      EXPECT_EQ(engine.ConsumeIoStats(), reference_stats)
+          << "parallelism " << threads << ", batch " << batch_rows
+          << " charged different I/O — the 1998 modeled time would change";
     }
-    EXPECT_EQ(engine.ConsumeIoStats(), oracle_stats)
-        << "vectorized execution at parallelism " << threads
-        << " charged different I/O — the 1998 modeled time would change";
   }
 }
 

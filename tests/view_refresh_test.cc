@@ -1,9 +1,10 @@
 // ViewBuilder::Refresh merges a delta into the view's rows in Emit order.
-// A test-only reference refresh re-aggregates everything instead: it folds
-// each old cell as 0.0 + its value, then each delta row in arrival order,
-// into a std::map and emits the cells in Emit order. The merge must match
-// it byte for byte (rows, order, measure bits, names, packed widths) and
-// charge the same I/O, for every layout and delta shape below.
+// The reference build (tests/oracles.h) over the old view then the delta
+// re-aggregates everything instead: it folds each old cell as 0.0 + its
+// value, then each delta row in arrival order, into a std::map and emits
+// the cells in Emit order. The merge must match it byte for byte (rows,
+// order, measure bits, names, packed widths) and charge the same I/O, for
+// every layout and delta shape below.
 
 #include <gtest/gtest.h>
 
@@ -18,8 +19,8 @@
 #include "common/rng.h"
 #include "cube/materialized_view.h"
 #include "cube/view_builder.h"
-#include "exec/key_packer.h"
 #include "storage/disk_model.h"
+#include "tests/oracles.h"
 #include "tests/test_util.h"
 
 namespace starshare {
@@ -78,73 +79,6 @@ std::vector<Fact> RandomFacts(uint64_t rows, uint64_t seed, bool integer,
   return facts;
 }
 
-struct Refreshed {
-  std::unique_ptr<Table> table;
-  IoStats io;
-};
-
-// The reference refresh: scan both inputs page by page, fold into a
-// std::map keyed by the packed key, emit in Emit order, pack, charge the
-// write.
-Refreshed ReferenceRefresh(const StarSchema& schema,
-                           const MaterializedView& view,
-                           const MaterializedView& delta, bool compressed) {
-  const GroupBySpec& spec = view.spec();
-  const KeyPacker packer(schema, spec);
-  const std::vector<size_t> retained = spec.RetainedDims(schema);
-  const size_t num_measures = view.table().num_measures();
-  std::map<uint64_t, std::vector<double>> cells;
-  DiskModel disk;
-  for (const MaterializedView* source : {&view, &delta}) {
-    const Table& table = source->table();
-    table.ScanPages(disk, [&](uint64_t begin, uint64_t end) {
-      disk.CountTuples(end - begin);
-      for (uint64_t r = begin; r < end; ++r) {
-        std::vector<int32_t> members(retained.size());
-        for (size_t i = 0; i < retained.size(); ++i) {
-          const size_t d = retained[i];
-          members[i] = schema.dim(d).MapUp(
-              source->StoredLevel(d), spec.level(d),
-              table.key(source->KeyColForDim(d), r));
-        }
-        std::vector<double>& sums =
-            cells.try_emplace(packer.Pack(members.data()), num_measures, 0.0)
-                .first->second;
-        for (size_t m = 0; m < num_measures; ++m) {
-          sums[m] += table.measure(r, m);
-        }
-      }
-    });
-  }
-
-  std::vector<uint64_t> order;
-  for (const auto& [key, _] : cells) order.push_back(key);
-  const bool clustered = view.clustered();
-  std::sort(order.begin(), order.end(), [&](uint64_t a, uint64_t b) {
-    const uint64_t sa = EmitSortKey(a, clustered);
-    const uint64_t sb = EmitSortKey(b, clustered);
-    return sa != sb ? sa < sb : a < b;
-  });
-
-  std::vector<std::string> key_names;
-  for (size_t d : retained) {
-    key_names.push_back(schema.dim(d).LevelName(spec.level(d)));
-  }
-  std::vector<std::string> measure_names;
-  for (size_t m = 0; m < num_measures; ++m) {
-    measure_names.push_back(view.table().measure_name(m));
-  }
-  Refreshed out;
-  out.table = std::make_unique<Table>(view.name(), key_names, measure_names);
-  for (const uint64_t key : order) {
-    out.table->AppendRowM(packer.Unpack(key).data(), cells.at(key).data());
-  }
-  out.table->SetCompressed(compressed);
-  disk.WritePages(out.table->num_pages());
-  out.io = disk.stats();
-  return out;
-}
-
 void ExpectSameTable(const Table& got, const Table& want,
                      const std::string& label) {
   EXPECT_EQ(got.name(), want.name()) << label;
@@ -194,8 +128,8 @@ void CheckRefresh(const StarSchema& schema, const std::vector<Fact>& base,
   ViewBuilder builder(schema);
   builder.set_compressed_pages(compressed);
   DiskModel build_disk;
-  const std::unique_ptr<Table> old_table =
-      builder.Build(base_view, spec, build_disk, "", clustered);
+  const std::unique_ptr<Table> old_table = std::move(
+      builder.Build(base_view, {spec}, build_disk, clustered).front());
   MaterializedView view(schema, spec, old_table.get());
   view.set_clustered(clustered);
 
@@ -205,8 +139,9 @@ void CheckRefresh(const StarSchema& schema, const std::vector<Fact>& base,
   DiskModel disk;
   const std::unique_ptr<Table> refreshed =
       builder.Refresh(view, delta_view, disk);
-  const Refreshed want = ReferenceRefresh(schema, view, delta_view, compressed);
-  ExpectSameTable(*refreshed, *want.table, label);
+  const testing::ReferenceViews want = testing::ReferenceBuild(
+      schema, {&view, &delta_view}, {spec}, clustered, compressed);
+  ExpectSameTable(*refreshed, *want.tables[0], label);
   EXPECT_EQ(disk.stats(), want.io) << disk.stats().ToString() << " vs "
                                    << want.io.ToString();
 }
@@ -302,8 +237,9 @@ TEST(ViewRefreshTest, UntouchedCellsFoldLikeTheReference) {
   ViewBuilder builder(schema);
   DiskModel disk;
   const std::unique_ptr<Table> refreshed = builder.Refresh(view, delta, disk);
-  const Refreshed want = ReferenceRefresh(schema, view, delta, false);
-  ExpectSameTable(*refreshed, *want.table, "negative zero");
+  const testing::ReferenceViews want =
+      testing::ReferenceBuild(schema, {&view, &delta}, {spec}, false, false);
+  ExpectSameTable(*refreshed, *want.tables[0], "negative zero");
   EXPECT_EQ(disk.stats(), want.io);
   EXPECT_FALSE(std::signbit(refreshed->measure(0, 0)));
 }
@@ -323,7 +259,8 @@ TEST(ViewRefreshTest, OutOfOrderViewKeepsEverySum) {
                                      base_table.get());
     ViewBuilder builder(schema);
     DiskModel disk;
-    const std::unique_ptr<Table> built = builder.Build(base_view, spec, disk);
+    const std::unique_ptr<Table> built =
+        std::move(builder.Build(base_view, {spec}, disk).front());
 
     // The same cells, rows reversed.
     std::vector<std::string> key_names;

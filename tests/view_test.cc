@@ -17,6 +17,14 @@ using testing::BruteForce;
 using testing::MakeQuery;
 using testing::SmallSchema;
 
+// Builds the one view table of `spec` from `source`.
+std::unique_ptr<Table> BuildOne(const ViewBuilder& builder,
+                                const MaterializedView& source,
+                                const GroupBySpec& spec, DiskModel& disk,
+                                bool clustered = false) {
+  return std::move(builder.Build(source, {spec}, disk, clustered).front());
+}
+
 struct Fixture {
   StarSchema schema = SmallSchema();
   DiskModel disk;
@@ -39,7 +47,7 @@ TEST(MaterializedViewTest, KeyColMapping) {
 
   ViewBuilder builder(f.schema);
   auto spec = GroupBySpec::Parse("X'Z", f.schema).value();
-  auto table = builder.Build(*f.base, spec, f.disk);
+  auto table = BuildOne(builder, *f.base, spec, f.disk);
   MaterializedView view(f.schema, spec, table.get());
   EXPECT_EQ(view.KeyColForDim(0), 0u);
   EXPECT_EQ(view.KeyColForDim(1), SIZE_MAX);  // Y aggregated away
@@ -52,7 +60,7 @@ TEST(ViewBuilderTest, AggregatesMatchBruteForce) {
   ViewBuilder builder(f.schema);
   for (const char* spec_text : {"X'Y'Z", "X''", "XZ'", "X''Y''Z'"}) {
     auto spec = GroupBySpec::Parse(spec_text, f.schema).value();
-    auto table = builder.Build(*f.base, spec, f.disk, "", /*clustered=*/true);
+    auto table = BuildOne(builder, *f.base, spec, f.disk, /*clustered=*/true);
     // The clustered view's rows must equal the brute-force group-by of the
     // base data, in key order.
     DimensionalQuery q(1, spec_text, spec, QueryPredicate{});
@@ -72,12 +80,12 @@ TEST(ViewBuilderTest, FromIntermediateViewMatchesFromBase) {
   Fixture f;
   ViewBuilder builder(f.schema);
   auto mid_spec = GroupBySpec::Parse("X'Y'Z", f.schema).value();
-  auto mid_table = builder.Build(*f.base, mid_spec, f.disk);
+  auto mid_table = BuildOne(builder, *f.base, mid_spec, f.disk);
   MaterializedView mid(f.schema, mid_spec, mid_table.get());
 
   auto top_spec = GroupBySpec::Parse("X''Y''", f.schema).value();
-  auto from_mid = builder.Build(mid, top_spec, f.disk, "from_mid");
-  auto from_base = builder.Build(*f.base, top_spec, f.disk, "from_base");
+  auto from_mid = BuildOne(builder, mid, top_spec, f.disk);
+  auto from_base = BuildOne(builder, *f.base, top_spec, f.disk);
 
   ASSERT_EQ(from_mid->num_rows(), from_base->num_rows());
   for (uint64_t r = 0; r < from_mid->num_rows(); ++r) {
@@ -93,7 +101,7 @@ TEST(ViewBuilderTest, ClusteredOutputSortedAndCharged) {
   ViewBuilder builder(f.schema);
   f.disk.ResetStats();
   auto spec = GroupBySpec::Parse("X'Y'", f.schema).value();
-  auto table = builder.Build(*f.base, spec, f.disk, "", /*clustered=*/true);
+  auto table = BuildOne(builder, *f.base, spec, f.disk, /*clustered=*/true);
   EXPECT_EQ(f.disk.stats().seq_pages_read, f.base_table->num_pages());
   EXPECT_EQ(f.disk.stats().pages_written, table->num_pages());
   for (uint64_t r = 1; r < table->num_rows(); ++r) {
@@ -107,9 +115,9 @@ TEST(ViewBuilderTest, DefaultOrderIsDeterministicPermutationOfClustered) {
   Fixture f;
   ViewBuilder builder(f.schema);
   auto spec = GroupBySpec::Parse("X'Y'", f.schema).value();
-  auto heap1 = builder.Build(*f.base, spec, f.disk, "h1");
-  auto heap2 = builder.Build(*f.base, spec, f.disk, "h2");
-  auto sorted = builder.Build(*f.base, spec, f.disk, "s", /*clustered=*/true);
+  auto heap1 = BuildOne(builder, *f.base, spec, f.disk);
+  auto heap2 = BuildOne(builder, *f.base, spec, f.disk);
+  auto sorted = BuildOne(builder, *f.base, spec, f.disk, /*clustered=*/true);
   ASSERT_EQ(heap1->num_rows(), sorted->num_rows());
   // Deterministic across builds...
   bool any_disorder = false;
@@ -136,7 +144,7 @@ TEST(ViewBuilderTest, DefaultNameIsSpecString) {
   Fixture f;
   ViewBuilder builder(f.schema);
   auto spec = GroupBySpec::Parse("X''Z'", f.schema).value();
-  auto table = builder.Build(*f.base, spec, f.disk);
+  auto table = BuildOne(builder, *f.base, spec, f.disk);
   EXPECT_EQ(table->name(), "X''Z'");
 }
 
@@ -164,7 +172,7 @@ TEST(ViewSetTest, FindAndCandidates) {
       f.schema, GroupBySpec::Base(f.schema), f.base_table.get()));
 
   auto mid_spec = GroupBySpec::Parse("X'Y'Z", f.schema).value();
-  auto mid_table = builder.Build(*f.base, mid_spec, f.disk);
+  auto mid_table = BuildOne(builder, *f.base, mid_spec, f.disk);
   Table* mid_raw = mid_table.get();
   views.Add(std::make_unique<MaterializedView>(f.schema, mid_spec, mid_raw));
 
