@@ -14,8 +14,9 @@ TUs that include it. Gated files: everything under src/obs/,
 src/server/ (the query-server subsystem) and src/opt/ (the five
 optimizers and the AND-OR DAG), plus the memory-accounting subsystem
 (exec/spill, exec/memory_budget, common/mem_stats), the incremental
-class-cost tracker (cost/class_cost_tracker), and the CUBE/ROLLUP
-lattice path (cube/lattice, the derived-source operator). Other
+class-cost tracker (cost/class_cost_tracker), the CUBE/ROLLUP
+lattice path (cube/lattice, the derived-source operator), and the
+star-join filter operator (exec/operators/star_join_filter). Other
 files are ignored. Prints a per-file table and
 exits non-zero when total gated line coverage falls below the threshold
 (default 90%).
@@ -39,6 +40,7 @@ GATED = (
     os.path.join("src", "cost", "class_cost_tracker."),
     os.path.join("src", "cube", "lattice."),
     os.path.join("src", "exec", "operators", "derived_source."),
+    os.path.join("src", "exec", "operators", "star_join_filter."),
 )
 
 

@@ -21,8 +21,9 @@
 # exact modeled-I/O agreement), and a coverage pass gating src/obs/,
 # src/server/, src/opt/, the memory-accounting subsystem, the
 # incremental class-cost tracker, the compressed-storage files
-# (packed_column, table_io), and the CUBE/ROLLUP lattice path
-# (cube/lattice, the derived-source operator) at >= 90% covered lines.
+# (packed_column, table_io), the CUBE/ROLLUP lattice path
+# (cube/lattice, the derived-source operator) and the star-join filter
+# kernel at >= 90% covered lines.
 # All stages must pass. Run from the repository root:
 #
 #   scripts/verify.sh [jobs]
@@ -63,12 +64,14 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
 
 echo "==> TSan build + threading suites"
 cmake -B build-tsan -S . -DSTARSHARE_SANITIZE=thread >/dev/null
+# vectorized_determinism_test's 4-thread cases run the star-join kernel on
+# morsel workers that share one set of dimension filters.
 cmake --build build-tsan -j "$JOBS" --target \
   thread_pool_test parallel_determinism_test parallel_chaos_test \
-  metrics_test trace_test spill_aggregate_test
+  metrics_test trace_test spill_aggregate_test vectorized_determinism_test
 TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'thread_pool_test|parallel_determinism_test|parallel_chaos_test|metrics_test|trace_test|spill_aggregate_test'
+  -R 'thread_pool_test|parallel_determinism_test|parallel_chaos_test|metrics_test|trace_test|spill_aggregate_test|vectorized_determinism_test'
 
 echo "==> cube lattice: ASan + TSan on the CUBE/ROLLUP suite"
 # The cube path stacks every subsystem: shared base batch, derived
@@ -138,7 +141,7 @@ else
   echo "    clang-tidy not found; skipping (install LLVM tooling to enable)"
 fi
 
-echo "==> coverage: obs/server/opt/spill/storage line gate (>= 90%)"
+echo "==> coverage: obs/server/opt/spill/storage/star-join line gate (>= 90%)"
 cmake -B build-cov -S . -DCMAKE_BUILD_TYPE=Debug \
   -DSTARSHARE_COVERAGE=ON >/dev/null
 cmake --build build-cov -j "$JOBS"

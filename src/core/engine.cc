@@ -17,6 +17,45 @@
 #include "storage/table_io.h"
 
 namespace starshare {
+namespace {
+
+// Checks that `table` has the layout `spec` stores: one key column per
+// retained dimension, one measure column per schema measure, and every key
+// inside its stored level's domain (the dense id range the pass masks,
+// translators and statistics index). A failure carries `code`.
+Status CheckTableFitsSpec(const StarSchema& schema, const GroupBySpec& spec,
+                          const Table& table, StatusCode code) {
+  const std::vector<size_t> retained = spec.RetainedDims(schema);
+  if (table.num_key_columns() != retained.size()) {
+    return Status(code,
+                  StrFormat("table %s has %zu key columns, %s stores %zu",
+                            table.name().c_str(), table.num_key_columns(),
+                            spec.ToString(schema).c_str(), retained.size()));
+  }
+  if (table.num_measures() != schema.num_measures()) {
+    return Status(code,
+                  StrFormat("table %s has %zu measure columns, want %zu",
+                            table.name().c_str(), table.num_measures(),
+                            schema.num_measures()));
+  }
+  for (size_t c = 0; c < retained.size(); ++c) {
+    const size_t d = retained[c];
+    const int64_t card = schema.dim(d).cardinality(spec.level(d));
+    const KeyColumn& col = table.key_column(c);
+    bool in_domain = true;
+    col.ForEach(0, col.size(), [&](uint64_t, int32_t key) {
+      in_domain &= key >= 0 && key < card;
+    });
+    if (!in_domain) {
+      return Status(code, StrFormat("table %s: key out of range on %s",
+                                    table.name().c_str(),
+                                    schema.dim(d).dim_name().c_str()));
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 bool DefaultCompressedPages() {
   const char* env = std::getenv("STARSHARE_UNCOMPRESSED");
@@ -119,10 +158,8 @@ Result<MaterializedView*> Engine::AttachFactTable(
   if (base_view_ != nullptr) {
     return Status::FailedPrecondition("fact table already loaded");
   }
-  if (table->num_key_columns() != schema_.num_dims()) {
-    return Status::InvalidArgument(
-        "fact table must have one key column per dimension");
-  }
+  SS_RETURN_IF_ERROR(CheckTableFitsSpec(schema_, GroupBySpec::Base(schema_),
+                                        *table, StatusCode::kInvalidArgument));
   Result<Table*> registered = catalog_.Register(std::move(table));
   if (!registered.ok()) return registered.status();
   auto view = std::make_unique<MaterializedView>(
@@ -145,26 +182,9 @@ Status Engine::AppendFactTable(std::unique_ptr<Table> delta) {
   if (base_view_ == nullptr) {
     return Status::FailedPrecondition("load the fact table first");
   }
-  if (delta == nullptr || delta->num_key_columns() != schema_.num_dims()) {
-    return Status::InvalidArgument(
-        "delta must have one key column per dimension");
-  }
-  if (delta->num_measures() != schema_.num_measures()) {
-    return Status::InvalidArgument(
-        "delta must carry one column per schema measure");
-  }
-  for (size_t d = 0; d < schema_.num_dims(); ++d) {
-    const int32_t card = static_cast<int32_t>(schema_.dim(d).cardinality(0));
-    const KeyColumn& col = delta->key_column(d);
-    bool in_range = true;
-    col.ForEach(0, col.size(), [&](uint64_t, int32_t key) {
-      if (key < 0 || key >= card) in_range = false;
-    });
-    if (!in_range) {
-      return Status::InvalidArgument("delta key out of range on dimension " +
-                                     schema_.dim(d).dim_name());
-    }
-  }
+  if (delta == nullptr) return Status::InvalidArgument("no delta table");
+  SS_RETURN_IF_ERROR(CheckTableFitsSpec(schema_, GroupBySpec::Base(schema_),
+                                        *delta, StatusCode::kInvalidArgument));
   const MaterializedView delta_view(schema_, GroupBySpec::Base(schema_),
                                     delta.get());
 
@@ -757,7 +777,13 @@ Status Engine::LoadCube(const std::string& directory,
     const bool is_base = spec.value() == GroupBySpec::Base(schema_);
     Result<std::unique_ptr<Table>> table =
         ReadTableFile(directory + "/" + filename);
-    if (!table.ok()) {
+    // A file that reads back intact must still hold what its spec stores:
+    // a CRC covers the bytes, not their meaning.
+    const Status fits =
+        table.ok() ? CheckTableFitsSpec(schema_, spec.value(), *table.value(),
+                                        StatusCode::kCorruption)
+                   : table.status();
+    if (!fits.ok()) {
       // A view is derived data: when the caller opts in, skip it (it can be
       // re-materialized from the base) rather than failing the whole cube.
       // The base table itself is irreplaceable and always a hard error.
@@ -765,7 +791,7 @@ Status Engine::LoadCube(const std::string& directory,
         skipped_views->push_back(spec_text);
         continue;
       }
-      return table.status();
+      return fits;
     }
 
     if (is_base) {

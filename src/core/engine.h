@@ -185,7 +185,8 @@ class Engine {
   MaterializedView* LoadFactTable(const DataGeneratorConfig& config);
 
   // Registers caller-provided base data instead (key columns must be
-  // base-level member ids per dimension, in schema order).
+  // base-level member ids per dimension, in schema order, and one measure
+  // column per schema measure; anything else is kInvalidArgument).
   Result<MaterializedView*> AttachFactTable(std::unique_ptr<Table> table);
 
   MaterializedView* base_view() const { return base_view_; }
@@ -198,7 +199,7 @@ class Engine {
   Status AppendFacts(const DataGeneratorConfig& config);
 
   // Same, with caller-provided delta rows (base-level member ids per
-  // dimension, in schema order).
+  // dimension, in schema order; validated like AttachFactTable's table).
   Status AppendFactTable(std::unique_ptr<Table> delta);
 
   // ---- Materialized group-bys -------------------------------------------
@@ -360,10 +361,12 @@ class Engine {
   // fact table yet). Statistics are recomputed; rebuild indexes with
   // BuildIndexes as needed. Table files are read with bounded
   // retry-with-backoff, and a corrupt file surfaces as kCorruption, never
-  // an abort. When `skipped_views` is non-null, a corrupt or unreadable
-  // *view* file (derived, rebuildable data) is skipped and its spec
-  // appended there instead of failing the load; the base table must always
-  // load.
+  // an abort. A file that reads back intact but does not fit its spec (key
+  // or measure column count, or a key outside its stored level's domain)
+  // is corrupt too. When `skipped_views` is non-null, a corrupt or
+  // unreadable *view* file (derived, rebuildable data) is skipped and its
+  // spec appended there instead of failing the load; the base table must
+  // always load.
   Status LoadCube(const std::string& directory,
                   std::vector<std::string>* skipped_views = nullptr);
 

@@ -239,7 +239,6 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
   // Shared dimension filters (scan path). Built inside the StarJoinFilter
   // node's scope below so the dim_filters span nests under it.
   std::vector<SharedDimFilter> filters;
-  uint32_t all_mask = 0;
 
   // Builds one operator chain over the given input slice on DiskModel `d`
   // and pulls it dry, handing `on_batch` each batch's matches. The serial
@@ -259,7 +258,7 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
                       : static_cast<BatchOperator*>(&scan_src);
     std::optional<StarJoinFilterOp> sjf_op;
     if (!req.probe) {
-      sjf_op.emplace(chain, d, filters, all_mask, bound, n_live_hash);
+      sjf_op.emplace(chain, d, filters, bound, n_live_hash);
       chain = &*sjf_op;
     }
     std::optional<BitmapFilterOp> bmf_op;
@@ -312,7 +311,6 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
     if (!req.probe) {
       sjf.emplace(*phys, nodes->star_join_filter, disk);
       filters = BuildSharedFilters(schema, live_hash, view);
-      all_mask = AllQueriesMask(live_hash.size());
       if (req.derived) {
         // Predicate-free rollup members build no filters (every derived row
         // passes); count the pass under its own taxonomy.

@@ -1,6 +1,7 @@
 #include "exec/operators/star_join_filter.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "obs/trace.h"
 
@@ -40,10 +41,10 @@ std::vector<SharedDimFilter> BuildSharedFilters(
     if (!restricted) continue;
     const size_t col = view.KeyColForDim(d);
     SS_CHECK(col != SIZE_MAX);
+    const int stored = view.StoredLevel(d);
     SharedDimFilter filter;
     filter.col = &view.table().key_column(col);
-    filter.masks.assign(
-        schema.dim(d).cardinality(view.StoredLevel(d)), all_mask);
+    filter.masks.assign(schema.dim(d).cardinality(stored), all_mask);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       const DimPredicate* pred = queries[qi]->predicate().ForDim(d);
       if (pred == nullptr) continue;  // query unrestricted on d: bit stays set
@@ -53,8 +54,22 @@ std::vector<SharedDimFilter> BuildSharedFilters(
         if (!pass[m]) filter.masks[m] &= ~bit;
       }
     }
+    std::vector<int32_t> accepted;
+    for (size_t m = 0; m < filter.masks.size(); ++m) {
+      if (filter.masks[m] != 0) accepted.push_back(static_cast<int32_t>(m));
+    }
+    filter.pass_rows =
+        view.has_stats()
+            ? view.RowsMatching(schema.dim(d), d, stored, accepted)
+            : accepted.size();
     filters.push_back(std::move(filter));
   }
+  // Most selective first: the first filter is the only one that reads every
+  // row of a batch.
+  std::stable_sort(filters.begin(), filters.end(),
+                   [](const SharedDimFilter& a, const SharedDimFilter& b) {
+                     return a.pass_rows < b.pass_rows;
+                   });
   span.AddCounter("dims", filters.size());
   return filters;
 }
@@ -69,40 +84,67 @@ bool StarJoinFilterOp::NextBatch(ClassBatch& batch) {
 }
 
 void StarJoinFilterOp::EmitMatches(const ClassBatch& batch) {
-  const size_t n = static_cast<size_t>(batch.end - batch.begin);
-  masks_.resize(n);
+  const uint64_t begin = batch.begin;
+  const size_t n = static_cast<size_t>(batch.end - begin);
+  std::vector<QueryMatchBatch>& out = *batch.matches;
+  rows_.resize(n);
+  uint64_t* rows = rows_.data();
   if (filters_.empty()) {
-    std::fill(masks_.begin(), masks_.end(), all_mask_);
-  } else {
-    // Column-at-a-time: load the first filter's masks, then AND the rest.
-    // KeyColumn::ForEach decodes packed key words 64 bits at a time into
-    // the fused mask lookup, so compressed batches never materialize an
-    // intermediate int32 array.
-    uint32_t* masks = masks_.data();
-    const uint64_t begin = batch.begin;
-    const SharedDimFilter& first = filters_[0];
-    const uint32_t* fmasks = first.masks.data();
-    first.col->ForEach(begin, batch.end, [&](uint64_t row, int32_t v) {
-      masks[row - begin] = fmasks[static_cast<uint32_t>(v)];
-    });
-    for (size_t f = 1; f < filters_.size(); ++f) {
-      const SharedDimFilter& filter = filters_[f];
-      const uint32_t* fm = filter.masks.data();
-      filter.col->ForEach(begin, batch.end, [&](uint64_t row, int32_t v) {
-        masks[row - begin] &= fm[static_cast<uint32_t>(v)];
-      });
+    // No restricted dimension: every member takes every row.
+    std::iota(rows, rows + n, begin);
+    for (size_t qi = 0; qi < n_hash_; ++qi) {
+      EmitRows(bound_[qi], rows, n, out[qi]);
     }
+    return;
   }
-  uint32_t any = 0;
-  for (size_t i = 0; i < n; ++i) any |= masks_[i];
-  for (size_t qi = 0; qi < n_hash_; ++qi) {
-    const uint32_t bit = 1u << qi;
-    if ((any & bit) == 0) continue;
-    sel_.clear();
-    for (size_t i = 0; i < n; ++i) {
-      if ((masks_[i] & bit) != 0) sel_.push_back(batch.begin + i);
+
+  // The first filter decodes the whole batch. Every row is written at the
+  // list's end, and only a row some member accepts advances the end, so
+  // the list compacts without a branch. KeyColumn::ForEach decodes packed
+  // key words 64 bits at a time into the mask lookup.
+  masks_.resize(n);
+  uint32_t* masks = masks_.data();
+  size_t k = 0;
+  const uint32_t* first = filters_[0].masks.data();
+  filters_[0].col->ForEach(begin, batch.end, [&](uint64_t row, int32_t v) {
+    const uint32_t m = first[static_cast<uint32_t>(v)];
+    rows[k] = row;
+    masks[k] = m;
+    k += (m != 0);
+  });
+  // Each later filter reads only the survivors' keys and compacts the same
+  // way.
+  for (size_t f = 1; f < filters_.size() && k > 0; ++f) {
+    const KeyColumn& col = *filters_[f].col;
+    const uint32_t* fm = filters_[f].masks.data();
+    size_t kept = 0;
+    for (size_t j = 0; j < k; ++j) {
+      const uint64_t row = rows[j];
+      const uint32_t m = masks[j] & fm[static_cast<uint32_t>(col.Get(row))];
+      rows[kept] = row;
+      masks[kept] = m;
+      kept += (m != 0);
     }
-    EmitRows(bound_[qi], sel_.data(), sel_.size(), (*batch.matches)[qi]);
+    k = kept;
+  }
+
+  uint32_t any = 0;
+  for (size_t j = 0; j < k; ++j) any |= masks[j];
+  for (size_t qi = 0; qi < n_hash_; ++qi) {
+    const uint32_t bit = uint32_t{1} << qi;
+    if ((any & bit) == 0) continue;
+    if (any == bit) {
+      // Every survivor carries this member's bit and no other.
+      EmitRows(bound_[qi], rows, k, out[qi]);
+      continue;
+    }
+    sel_.resize(k);
+    size_t selected = 0;
+    for (size_t j = 0; j < k; ++j) {
+      sel_[selected] = rows[j];
+      selected += (masks[j] & bit) != 0;
+    }
+    EmitRows(bound_[qi], sel_.data(), selected, out[qi]);
   }
 }
 

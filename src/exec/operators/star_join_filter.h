@@ -1,7 +1,11 @@
 // Star-join filter (physical node kind kStarJoinFilter): evaluates the
 // shared dimension pass masks (§3.1, Fig. 2) over each pulled scan batch
-// and emits every hash member's matches. It works column-at-a-time into
-// per-row masks, then per-member selection vectors.
+// and emits every hash member's matches. It evaluates the filters
+// selective-first: the filter that lets the fewest rows through runs over
+// the whole batch into a compact survivor list of (row, mask) pairs, each
+// later filter runs only over the survivors, and each member selects its
+// rows from the list. Survivors stay in ascending row order, so every
+// member's match stream is the one a row-by-row probe would emit.
 //
 // Also home to the shared dimension filters it evaluates: the per-predicate
 // pass tables and the per-class pass masks built from them.
@@ -38,10 +42,14 @@ std::vector<uint8_t> BuildPassTable(const StarSchema& schema,
 struct SharedDimFilter {
   const KeyColumn* col;
   std::vector<uint32_t> masks;
+  // Rows of the view whose key some query accepts (a mask != 0): the view's
+  // statistics when it has them, else the number of accepted members.
+  uint64_t pass_rows = 0;
 };
 
 // Builds the filters for up to kMaxClassQueries hash queries (callers have
-// already rejected larger classes with a Status).
+// already rejected larger classes with a Status), one per dimension some
+// query restricts, sorted by ascending pass_rows; ties keep dimension order.
 std::vector<SharedDimFilter> BuildSharedFilters(
     const StarSchema& schema,
     const std::vector<const DimensionalQuery*>& queries,
@@ -54,37 +62,36 @@ inline uint32_t AllQueriesMask(size_t n) {
 
 class StarJoinFilterOp : public BatchOperator {
  public:
-  // `bound` holds the class's live members, hash members in slots
-  // [0, n_hash). Emits only those slots; index members are handled by a
-  // BitmapFilterOp stacked above (§3.3).
+  // `filters` come from BuildSharedFilters, in its order. `bound` holds the
+  // class's live members, hash members in slots [0, n_hash). Emits only
+  // those slots; index members are handled by a BitmapFilterOp stacked
+  // above (§3.3).
   StarJoinFilterOp(BatchOperator* child, DiskModel& disk,
                    const std::vector<SharedDimFilter>& filters,
-                   uint32_t all_mask, const std::vector<BoundQuery>& bound,
-                   size_t n_hash)
+                   const std::vector<BoundQuery>& bound, size_t n_hash)
       : child_(child),
         disk_(disk),
         filters_(filters),
-        all_mask_(all_mask),
         bound_(bound),
         n_hash_(n_hash) {}
 
   bool NextBatch(ClassBatch& batch) override;
 
  private:
-  // Emits each hash member's matches from one batch. Kept out of
-  // NextBatch: inlined there, GCC 12 -O3 splits NextBatch and the paper's
-  // Tests 4-7 execute ~10% slower at 2M rows (4-vCPU Xeon).
+  // Emits each hash member's matches from one batch.
   void EmitMatches(const ClassBatch& batch);
 
   BatchOperator* child_;
   DiskModel& disk_;
   const std::vector<SharedDimFilter>& filters_;
-  uint32_t all_mask_;
   const std::vector<BoundQuery>& bound_;
   size_t n_hash_;
 
-  std::vector<uint32_t> masks_;  // per-row pass masks of the current batch
-  std::vector<uint64_t> sel_;    // selection vector (absolute row ids)
+  // The current batch's survivor list: ascending absolute row ids and the
+  // pass mask each row carries so far.
+  std::vector<uint64_t> rows_;
+  std::vector<uint32_t> masks_;
+  std::vector<uint64_t> sel_;  // one member's selection (absolute row ids)
 };
 
 }  // namespace starshare

@@ -82,11 +82,9 @@ std::vector<const DimensionalQuery*> ContinuousScanRun::queries() const {
 void ContinuousScanRun::RebuildFilters() {
   if (members_.empty()) {
     filters_.clear();
-    all_mask_ = 0;
     return;
   }
   filters_ = BuildSharedFilters(schema_, queries(), view_);
-  all_mask_ = AllQueriesMask(members_.size());
 }
 
 void ContinuousScanRun::DispatchMatches(
@@ -118,7 +116,7 @@ void ContinuousScanRun::DriveSegment(const DoneFn& on_done) {
     // Serial drive: the run's one resumable scan source, repositioned on
     // this segment, under a fresh filter over the current membership.
     scan_.Reset(seg.begin, seg.end);
-    StarJoinFilterOp filter(&scan_, disk_, filters_, all_mask_, bound_, n);
+    StarJoinFilterOp filter(&scan_, disk_, filters_, bound_, n);
     std::vector<QueryMatchBatch> matches(n);
     ClassBatch batch;
     batch.matches = &matches;
@@ -149,8 +147,7 @@ void ContinuousScanRun::DriveSegment(const DoneFn& on_done) {
           buffer.slots.resize(n);
           ScanSourceOp scan_src(table, wdisk, seg.begin + morsel.begin,
                                 seg.begin + morsel.end, batch_rows);
-          StarJoinFilterOp filter(&scan_src, wdisk, filters_, all_mask_,
-                                  bound_, n);
+          StarJoinFilterOp filter(&scan_src, wdisk, filters_, bound_, n);
           std::vector<QueryMatchBatch> matches(n);
           ClassBatch batch;
           batch.matches = &matches;
@@ -220,7 +217,6 @@ void ContinuousScanRun::FailAll(const Status& status, const DoneFn& on_done) {
   members_.clear();
   bound_.clear();
   filters_.clear();
-  all_mask_ = 0;
 }
 
 }  // namespace starshare

@@ -121,7 +121,6 @@ class ContinuousScanRun {
   std::vector<BoundQuery> bound_;
   std::vector<Member> members_;
   std::vector<SharedDimFilter> filters_;
-  uint32_t all_mask_ = 0;
 };
 
 }  // namespace starshare

@@ -49,6 +49,22 @@ TEST_F(EngineTest, AttachValidatesColumnCount) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(EngineTest, AttachValidatesKeyDomain) {
+  // X has 12 base members; a key outside [0, 12) would index past every
+  // pass mask and statistics array.
+  for (const int32_t bad_key : {12, -1}) {
+    Engine other(SmallSchema());
+    auto table = std::make_unique<Table>(
+        "bad", std::vector<std::string>{"X", "Y", "Z"}, "amount");
+    const int32_t keys[] = {bad_key, 0, 0};
+    table->AppendRow(keys, 1.0);
+    EXPECT_EQ(other.AttachFactTable(std::move(table)).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad_key;
+    EXPECT_EQ(other.base_view(), nullptr);
+  }
+}
+
 TEST_F(EngineTest, MaterializeViewParsesAndBuilds) {
   auto view = engine_->MaterializeView("X'Y''");
   ASSERT_TRUE(view.ok()) << view.status().ToString();

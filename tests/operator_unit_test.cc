@@ -169,7 +169,6 @@ TEST_F(OperatorUnitTest, StarJoinFilterStreamsAreBatchSizeInvariant) {
   const std::vector<const DimensionalQuery*> members = {&q1, &q2};
   const std::vector<SharedDimFilter> filters =
       BuildSharedFilters(schema_, members, *view_);
-  const uint32_t all_mask = AllQueriesMask(members.size());
 
   const auto run = [&](uint64_t batch_rows,
                        std::vector<QueryMatchBatch>& out) {
@@ -178,8 +177,7 @@ TEST_F(OperatorUnitTest, StarJoinFilterStreamsAreBatchSizeInvariant) {
     bound.emplace_back(schema_, q2, *view_);
     DiskModel disk;
     ScanSourceOp scan(*table_, disk, 0, table_->num_rows(), batch_rows);
-    StarJoinFilterOp filter(&scan, disk, filters, all_mask, bound,
-                            /*n_hash=*/2);
+    StarJoinFilterOp filter(&scan, disk, filters, bound, /*n_hash=*/2);
     Drain(filter, 2, out);
     return disk.stats();
   };
@@ -196,6 +194,72 @@ TEST_F(OperatorUnitTest, StarJoinFilterStreamsAreBatchSizeInvariant) {
   }
 }
 
+// The key column BuildSharedFilters reads for dimension `d`.
+const KeyColumn* ColumnOf(const MaterializedView& view, size_t d) {
+  return &view.table().key_column(view.KeyColForDim(d));
+}
+
+TEST_F(OperatorUnitTest, SharedFiltersSortByPassRows) {
+  // X passes leaves 0-5, Y leaves 1-2, Z leaves 0-7 (for either member).
+  DimensionalQuery q1 = MakeQuery(
+      schema_, 1, "X'Y'Z", {{"X", 2, {0}}, {"Y", 0, {1}}, {"Z", 1, {0, 1}}});
+  DimensionalQuery q2 = MakeQuery(
+      schema_, 2, "Z", {{"X", 2, {0}}, {"Y", 0, {1, 2}}, {"Z", 1, {0}}});
+  const std::vector<SharedDimFilter> filters =
+      BuildSharedFilters(schema_, {&q1, &q2}, *view_);
+  ASSERT_EQ(filters.size(), 3u);
+  EXPECT_EQ(filters[0].col, ColumnOf(*view_, 1));
+  EXPECT_EQ(filters[1].col, ColumnOf(*view_, 0));
+  EXPECT_EQ(filters[2].col, ColumnOf(*view_, 2));
+  for (size_t f = 0; f < filters.size(); ++f) {
+    // Pass rows are the rows whose key some member accepts.
+    uint64_t rows = 0;
+    filters[f].col->ForEach(0, table_->num_rows(), [&](uint64_t, int32_t v) {
+      rows += filters[f].masks[static_cast<size_t>(v)] != 0;
+    });
+    EXPECT_EQ(filters[f].pass_rows, rows) << "filter " << f;
+    if (f > 0) {
+      EXPECT_LT(filters[f - 1].pass_rows, filters[f].pass_rows);
+    }
+  }
+}
+
+TEST_F(OperatorUnitTest, SharedFiltersBreakTiesInDimensionOrder) {
+  // Each member leaves one of X and Y unrestricted, so both filters pass
+  // every row; only Z narrows.
+  DimensionalQuery q1 =
+      MakeQuery(schema_, 1, "X'Y'Z", {{"X", 2, {0}}, {"Z", 0, {3}}});
+  DimensionalQuery q2 =
+      MakeQuery(schema_, 2, "Z", {{"Y", 2, {1}}, {"Z", 0, {4}}});
+  const std::vector<SharedDimFilter> filters =
+      BuildSharedFilters(schema_, {&q1, &q2}, *view_);
+  ASSERT_EQ(filters.size(), 3u);
+  EXPECT_EQ(filters[0].col, ColumnOf(*view_, 2));
+  EXPECT_EQ(filters[1].col, ColumnOf(*view_, 0));
+  EXPECT_EQ(filters[2].col, ColumnOf(*view_, 1));
+  EXPECT_EQ(filters[1].pass_rows, table_->num_rows());
+  EXPECT_EQ(filters[2].pass_rows, table_->num_rows());
+}
+
+TEST_F(OperatorUnitTest, SharedFiltersWithoutStatisticsCountMembers) {
+  // A hand-built view with no ComputeStats: pass rows fall back to the
+  // number of accepted stored members (X 6, Y 2, Z 8).
+  const MaterializedView bare(schema_, GroupBySpec::Base(schema_),
+                              table_.get());
+  ASSERT_FALSE(bare.has_stats());
+  DimensionalQuery q = MakeQuery(
+      schema_, 1, "X'Y'Z", {{"X", 2, {0}}, {"Y", 0, {1, 2}}, {"Z", 1, {0, 1}}});
+  const std::vector<SharedDimFilter> filters =
+      BuildSharedFilters(schema_, {&q}, bare);
+  ASSERT_EQ(filters.size(), 3u);
+  EXPECT_EQ(filters[0].col, ColumnOf(bare, 1));
+  EXPECT_EQ(filters[0].pass_rows, 2u);
+  EXPECT_EQ(filters[1].col, ColumnOf(bare, 0));
+  EXPECT_EQ(filters[1].pass_rows, 6u);
+  EXPECT_EQ(filters[2].col, ColumnOf(bare, 2));
+  EXPECT_EQ(filters[2].pass_rows, 8u);
+}
+
 TEST_F(OperatorUnitTest, StarJoinFilterEmptyInputEmitsNoMatches) {
   DimensionalQuery q1 = MakeQuery(schema_, 1, "X'Y'Z", {{"X", 1, {0, 2}}});
   const std::vector<const DimensionalQuery*> members = {&q1};
@@ -205,7 +269,7 @@ TEST_F(OperatorUnitTest, StarJoinFilterEmptyInputEmitsNoMatches) {
   bound.emplace_back(schema_, q1, *view_);
   DiskModel disk;
   ScanSourceOp scan(*table_, disk, 0, 0, 1024);
-  StarJoinFilterOp filter(&scan, disk, filters, 1u, bound, 1);
+  StarJoinFilterOp filter(&scan, disk, filters, bound, 1);
   std::vector<QueryMatchBatch> out;
   Drain(filter, 1, out);
   EXPECT_EQ(out[0].size(), 0u);
@@ -297,7 +361,7 @@ TEST_F(OperatorUnitTest, AggregateSinkFoldIsChunkingInvariant) {
     bound.emplace_back(schema_, q, *view_);
     DiskModel disk;
     ScanSourceOp scan(*table_, disk, 0, table_->num_rows(), 1024);
-    StarJoinFilterOp filter(&scan, disk, filters, 1u, bound, 1);
+    StarJoinFilterOp filter(&scan, disk, filters, bound, 1);
     Drain(filter, 1, stream);
   }
   ASSERT_GT(stream[0].size(), 2u);

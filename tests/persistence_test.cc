@@ -129,6 +129,102 @@ TEST_F(PersistenceTest, LoadCubeSkipsCorruptViewFile) {
       lenient.schema(), lenient.base_view()->table(), queries[0])));
 }
 
+// Rewrites the table file at `path` through WriteTableFile, so every CRC
+// is valid, keeping the first `keep_cols` key columns and setting key
+// column `col` of row 0 to `key`.
+void RewriteTableFile(const std::filesystem::path& path, size_t keep_cols,
+                      size_t col, int32_t key) {
+  Result<std::unique_ptr<Table>> read = ReadTableFile(path.string());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  const Table& in = *read.value();
+  ASSERT_LE(keep_cols, in.num_key_columns());
+  ASSERT_LT(col, keep_cols);
+  std::vector<std::string> key_names;
+  for (size_t c = 0; c < keep_cols; ++c) {
+    key_names.push_back(in.key_column_name(c));
+  }
+  std::vector<std::string> measure_names;
+  for (size_t m = 0; m < in.num_measures(); ++m) {
+    measure_names.push_back(in.measure_name(m));
+  }
+  Table out(in.name(), key_names, measure_names);
+  std::vector<int32_t> keys(keep_cols);
+  std::vector<double> measures(in.num_measures());
+  for (uint64_t r = 0; r < in.num_rows(); ++r) {
+    for (size_t c = 0; c < keep_cols; ++c) keys[c] = in.key(c, r);
+    for (size_t m = 0; m < measures.size(); ++m) {
+      measures[m] = in.measure(r, m);
+    }
+    if (r == 0) keys[col] = key;
+    out.AppendRowM(keys.data(), measures.data());
+  }
+  out.SetCompressed(in.compressed());
+  ASSERT_TRUE(WriteTableFile(out, path.string()).ok());
+}
+
+// Saves a base plus the X'Y' and X''Z' views into `dir`.
+void SaveSmallCube(const std::filesystem::path& dir) {
+  Engine original(SmallSchema());
+  original.LoadFactTable({.num_rows = 4000, .seed = 35});
+  ASSERT_TRUE(original.MaterializeView("X'Y'").ok());
+  ASSERT_TRUE(original.MaterializeView("X''Z'").ok());
+  ASSERT_TRUE(original.SaveCube(dir.string()).ok());
+}
+
+// A strict load of `dir` fails with kCorruption; a lenient one skips the
+// one bad view and answers from the rest like brute force.
+void ExpectViewRejectedAndSkipped(const std::filesystem::path& dir) {
+  Engine strict(SmallSchema());
+  EXPECT_EQ(strict.LoadCube(dir.string()).code(), StatusCode::kCorruption);
+
+  Engine lenient(SmallSchema());
+  std::vector<std::string> skipped;
+  ASSERT_TRUE(lenient.LoadCube(dir.string(), &skipped).ok());
+  EXPECT_EQ(skipped, std::vector<std::string>{"X'Y'"});
+  EXPECT_EQ(lenient.views().size(), 2u);
+  std::vector<DimensionalQuery> queries;
+  queries.push_back(
+      MakeQuery(lenient.schema(), 1, "X'Y''", {{"X", 2, {0}}}));
+  const auto results = lenient.ExecuteNaive(queries);
+  ASSERT_TRUE(results[0].ok());
+  EXPECT_TRUE(results[0].result.ApproxEquals(BruteForce(
+      lenient.schema(), lenient.base_view()->table(), queries[0])));
+}
+
+TEST_F(PersistenceTest, LoadCubeRejectsViewWithMissingKeyColumn) {
+  // view_1 is X'Y': two key columns. Written back with one, every CRC
+  // still checks out; only the manifest's spec can tell.
+  SaveSmallCube(dir_);
+  RewriteTableFile(dir_ / "view_1.sstb", /*keep_cols=*/1, /*col=*/0,
+                   /*key=*/0);
+  ExpectViewRejectedAndSkipped(dir_);
+}
+
+TEST_F(PersistenceTest, LoadCubeRejectsOutOfDomainKeys) {
+  for (const int32_t bad_key : {100000, -5}) {
+    SCOPED_TRACE("key " + std::to_string(bad_key));
+    // In a view: X' has 4 members.
+    std::filesystem::remove_all(dir_);
+    SaveSmallCube(dir_);
+    RewriteTableFile(dir_ / "view_1.sstb", /*keep_cols=*/2, /*col=*/0,
+                     bad_key);
+    ExpectViewRejectedAndSkipped(dir_);
+
+    // In the base: always a hard error, lenient or not.
+    std::filesystem::remove_all(dir_);
+    SaveSmallCube(dir_);
+    RewriteTableFile(dir_ / "view_0.sstb", /*keep_cols=*/3, /*col=*/0,
+                     bad_key);
+    Engine strict(SmallSchema());
+    EXPECT_EQ(strict.LoadCube(dir_.string()).code(), StatusCode::kCorruption);
+    Engine lenient(SmallSchema());
+    std::vector<std::string> skipped;
+    EXPECT_EQ(lenient.LoadCube(dir_.string(), &skipped).code(),
+              StatusCode::kCorruption);
+    EXPECT_TRUE(skipped.empty());
+  }
+}
+
 TEST_F(PersistenceTest, LoadCubeCorruptBaseAlwaysFails) {
   Engine original(SmallSchema());
   original.LoadFactTable({.num_rows = 4000, .seed = 34});

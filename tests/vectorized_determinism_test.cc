@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <numeric>
+#include <tuple>
 #include <vector>
 
 #include "core/paper_workload.h"
@@ -85,16 +88,18 @@ class VectorizedDeterminismTest : public ::testing::Test {
     for (const auto& q : queries_) query_ptrs_.push_back(&q);
   }
 
-  // Runs one class at `batch_rows`, on `pool`'s threads when given.
+  // Runs one class at `batch_rows`, on `pool`'s threads when given, over
+  // `view` (default: the fixture's base view).
   SharedOutcome RunClass(const std::vector<const DimensionalQuery*>& hash,
                          const std::vector<const DimensionalQuery*>& index,
                          bool probe, size_t batch_rows, DiskModel& disk,
-                         ThreadPool* pool = nullptr) {
+                         ThreadPool* pool = nullptr,
+                         const MaterializedView* view = nullptr) {
     SharedClassRequest req;
     req.schema = &schema_;
     req.hash_queries = hash;
     req.index_queries = index;
-    req.view = view_.get();
+    req.view = view != nullptr ? view : view_.get();
     req.disk = &disk;
     req.probe = probe;
     req.policy.batch.batch_rows = batch_rows;
@@ -140,6 +145,42 @@ class VectorizedDeterminismTest : public ::testing::Test {
                            std::to_string(batch_rows));
       EXPECT_EQ(disk.stats(), reference_disk.stats())
           << label << " batch " << batch_rows << " charged different I/O";
+    }
+  }
+
+  // Star-join kernel coverage: runs a hash-only class over the base view
+  // `view` at every batch size, serially and on 4 threads. Every member
+  // must fold the brute-force bits over view's table, and every run must
+  // charge the serial default-batch run's IoStats.
+  void CheckKernelClass(const MaterializedView& view,
+                        const std::vector<const DimensionalQuery*>& hash,
+                        const std::string& label) {
+    std::vector<QueryResult> want;
+    for (const DimensionalQuery* q : hash) {
+      want.push_back(BruteForce(schema_, view.table(), *q));
+    }
+    DiskModel reference_disk;
+    RunClass(hash, {}, /*probe=*/false, kDefaultBatchRows, reference_disk,
+             nullptr, &view);
+    ThreadPool pool(4);
+    for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      for (const size_t batch_rows : kBatchSizes) {
+        const std::string where =
+            label + (threads == nullptr ? ", serial" : ", 4 threads") +
+            ", batch " + std::to_string(batch_rows);
+        DiskModel disk;
+        const SharedOutcome outcome = RunClass(
+            hash, {}, /*probe=*/false, batch_rows, disk, threads, &view);
+        ASSERT_EQ(outcome.results.size(), hash.size()) << where;
+        for (size_t i = 0; i < hash.size(); ++i) {
+          EXPECT_TRUE(outcome.statuses[i].ok()) << where;
+          EXPECT_TRUE(BitIdentical(outcome.results[i], want[i]))
+              << where << ": Q" << hash[i]->id()
+              << " diverged from the brute-force fold";
+        }
+        EXPECT_EQ(disk.stats(), reference_disk.stats())
+            << where << " charged different I/O";
+      }
     }
   }
 
@@ -196,6 +237,121 @@ TEST_F(VectorizedDeterminismTest, ParallelMatchesBruteForceAndSerialIo) {
                          " threads");
     EXPECT_EQ(index_disk.stats(), index_serial_disk.stats());
   }
+}
+
+TEST_F(VectorizedDeterminismTest, KernelRunsMostSelectiveFilterFirst) {
+  // Z passes 2 of 12 leaves for both members; X and Y pass every row
+  // (each has a member unrestricted there). So Z, the last key column,
+  // runs first, and X precedes Y on the tie.
+  const DimensionalQuery a = MakeQuery(
+      schema_, 1, "X'Y'Z",
+      {{"Z", 0, {5}}, {"X", 2, {0}}, {"Y", 1, {0, 1, 2}}});
+  const DimensionalQuery b = MakeQuery(
+      schema_, 2, "Y''Z'", {{"Z", 0, {5, 7}}, {"Y", 2, {1}}}, AggOp::kMin);
+  const std::vector<const DimensionalQuery*> hash = {&a, &b};
+  const std::vector<SharedDimFilter> filters =
+      BuildSharedFilters(schema_, hash, *view_);
+  ASSERT_EQ(filters.size(), 3u);
+  EXPECT_EQ(filters[0].col, &table_->key_column(2));
+  EXPECT_EQ(filters[1].col, &table_->key_column(0));
+  EXPECT_EQ(filters[2].col, &table_->key_column(1));
+  CheckKernelClass(*view_, hash, "Z first");
+}
+
+TEST_F(VectorizedDeterminismTest, KernelBatchesWhoseSurvivorsReachZero) {
+  // The fixture's rows sorted by (Z, X, Y), packed. The Z = 0 slicer runs
+  // first, so whole batches past the Z = 0 run die at the first filter,
+  // and batches inside it holding only X'' = 0 rows die at the X filter.
+  std::vector<uint64_t> order(table_->num_rows());
+  std::iota(order.begin(), order.end(), uint64_t{0});
+  const auto sort_key = [&](uint64_t r) {
+    return std::tuple(table_->key(2, r), table_->key(0, r), table_->key(1, r));
+  };
+  std::stable_sort(order.begin(), order.end(), [&](uint64_t l, uint64_t r) {
+    return sort_key(l) < sort_key(r);
+  });
+  Table sorted("sorted", {"X", "Y", "Z"}, "amount");
+  for (const uint64_t r : order) {
+    const int32_t keys[] = {table_->key(0, r), table_->key(1, r),
+                            table_->key(2, r)};
+    sorted.AppendRow(keys, table_->measure(r));
+  }
+  sorted.SetCompressed(true);
+  sorted.set_id(2);
+  MaterializedView view(schema_, GroupBySpec::Base(schema_), &sorted);
+  view.ComputeStats(schema_);
+
+  const DimensionalQuery a =
+      MakeQuery(schema_, 1, "X'Z", {{"Z", 0, {0}}, {"X", 2, {1}}});
+  const DimensionalQuery b = MakeQuery(
+      schema_, 2, "Y'", {{"Z", 0, {0}}, {"X", 0, {7}}}, AggOp::kCount);
+  const std::vector<SharedDimFilter> filters =
+      BuildSharedFilters(schema_, {&a, &b}, view);
+  ASSERT_EQ(filters.size(), 2u);
+  ASSERT_EQ(filters[0].col, &sorted.key_column(2));
+
+  // Both kinds of batch occur at the default batch size (and so at the
+  // smaller ones).
+  size_t die_first = 0, die_later = 0;
+  for (uint64_t begin = 0; begin < sorted.num_rows();
+       begin += kDefaultBatchRows) {
+    const uint64_t end =
+        std::min<uint64_t>(begin + kDefaultBatchRows, sorted.num_rows());
+    bool pass_z = false, pass_zx = false;
+    for (uint64_t r = begin; r < end; ++r) {
+      if (sorted.key(2, r) != 0) continue;
+      pass_z = true;
+      pass_zx |= sorted.key(0, r) >= 6;  // X'' = 1
+    }
+    die_first += !pass_z;
+    die_later += pass_z && !pass_zx;
+  }
+  EXPECT_GT(die_first, 0u);
+  EXPECT_GT(die_later, 0u);
+
+  CheckKernelClass(view, {&a}, "sorted, one member");
+  CheckKernelClass(view, {&a, &b}, "sorted, two members");
+}
+
+TEST_F(VectorizedDeterminismTest, KernelClassWithoutRestrictedDimension) {
+  const DimensionalQuery a = MakeQuery(schema_, 1, "X'Y'Z", {});
+  const DimensionalQuery b = MakeQuery(schema_, 2, "Z", {}, AggOp::kMax);
+  const DimensionalQuery c = MakeQuery(schema_, 3, "X''", {}, AggOp::kAvg);
+  EXPECT_TRUE(BuildSharedFilters(schema_, {&a, &b, &c}, *view_).empty());
+  CheckKernelClass(*view_, {&a, &b, &c}, "no filter");
+  CheckKernelClass(*view_, {&b}, "no filter, one member");
+}
+
+TEST_F(VectorizedDeterminismTest, KernelOneMemberClass) {
+  const DimensionalQuery a = MakeQuery(
+      schema_, 1, "XY'Z'",
+      {{"Y", 0, {1, 3, 5, 7, 9}}, {"X", 1, {1, 3}}, {"Z", 1, {1, 2}}});
+  CheckKernelClass(*view_, {&a}, "one member");
+}
+
+TEST_F(VectorizedDeterminismTest, KernelThirtyTwoMemberClass) {
+  // kMaxClassQueries members, so the pass masks use bit 31. Each member
+  // restricts one or two dimensions at varying levels.
+  const char* const targets[] = {"X'Y'Z", "X''Z'", "Y'", "XY''", "Z'"};
+  const AggOp aggs[] = {AggOp::kSum, AggOp::kMin, AggOp::kMax,
+                        AggOp::kCount, AggOp::kAvg};
+  const char* const dims[] = {"X", "Y", "Z"};
+  std::vector<DimensionalQuery> queries;
+  for (int i = 0; i < static_cast<int>(kMaxClassQueries); ++i) {
+    std::vector<testing::PredSpec> preds;
+    const int d = i % 3;
+    const int level = (i / 3) % 2;
+    const int32_t card = static_cast<int32_t>(
+        schema_.dim(static_cast<size_t>(d)).cardinality(level));
+    preds.push_back({dims[d], level, {i % card, (i + 5) % card}});
+    if (i % 4 == 3) preds.push_back({dims[(d + 1) % 3], 0, {i % 12}});
+    queries.push_back(
+        MakeQuery(schema_, i + 1, targets[i % 5], preds, aggs[i % 5]));
+  }
+  std::vector<const DimensionalQuery*> hash;
+  for (const DimensionalQuery& q : queries) hash.push_back(&q);
+  ASSERT_GT(BruteForce(schema_, *table_, *hash.back()).num_rows(), 0u);
+  CheckKernelClass(*view_, hash, "32 members");
 }
 
 TEST_F(VectorizedDeterminismTest, ViewBuildMatchesReferenceBuild) {
