@@ -5,7 +5,9 @@
 //
 // Part 1: append 5% new facts and refresh the Table 1 views incrementally
 // (old view + delta) vs. rebuilding them from the grown base. Both cubes
-// must answer paper Tests 4-7 alike, so a refresh bug fails the bench.
+// must answer paper Tests 4-7 alike, and every view's statistics and index
+// lookups must match member by member, so a refresh or splice bug fails
+// the bench.
 // Part 2: run the Test 4 MDX twice with the result cache on — the second
 // round must cost zero I/O.
 
@@ -35,6 +37,41 @@ std::vector<QueryResult> AnswerTests4To7(Engine& engine) {
   return results;
 }
 
+// Every view of `got` counts the same rows under every member of every
+// level as `want`'s view at its spec, indexes the same dimensions, and
+// looks up the same rows. Row order depends only on keys, so this holds
+// exactly even where real-valued sums differ in their last bits.
+void CheckSameStatsAndIndexes(const Engine& got, const Engine& want) {
+  const StarSchema& schema = got.schema();
+  for (const auto& view : got.views().all()) {
+    const MaterializedView* other = want.views().Find(view->spec());
+    SS_CHECK_MSG(other != nullptr, "%s missing", view->name().c_str());
+    SS_CHECK(view->IndexedDims() == other->IndexedDims());
+    for (const size_t d : view->spec().RetainedDims(schema)) {
+      const Hierarchy& h = schema.dim(d);
+      for (int level = view->StoredLevel(d); level < h.num_levels();
+           ++level) {
+        const BitmapJoinIndex* index = view->IndexOn(d, level);
+        const BitmapJoinIndex* other_index = other->IndexOn(d, level);
+        SS_CHECK((index == nullptr) == (other_index == nullptr));
+        for (uint32_t m = 0; m < h.cardinality(level); ++m) {
+          const int32_t member[] = {static_cast<int32_t>(m)};
+          SS_CHECK_MSG(view->RowsMatching(h, d, level, member) ==
+                           other->RowsMatching(h, d, level, member),
+                       "%s: statistics differ on dimension %zu level %d",
+                       view->name().c_str(), d, level);
+          if (index == nullptr) continue;
+          DiskModel disk;
+          SS_CHECK_MSG(index->Lookup(member, disk) ==
+                           other_index->Lookup(member, disk),
+                       "%s: index lookups differ on dimension %zu level %d",
+                       view->name().c_str(), d, level);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -48,18 +85,17 @@ int main() {
       WithCommas(delta_rows).c_str(), WithCommas(rows).c_str()));
 
   // Incremental: AppendFacts folds the delta into every view.
-  std::vector<QueryResult> incremental_answers;
-  {
-    Engine engine(StarSchema::PaperTestSchema());
-    PaperWorkload::Setup(engine, rows);
-    StampPageLayout(report, engine);
-    engine.ConsumeIoStats();
-    const Measurement m = Measure(engine, [&] {
-      SS_CHECK(engine.AppendFacts({.num_rows = delta_rows, .seed = 9}).ok());
-    });
-    report.Row("paper views: incremental (views + delta)", m);
-    incremental_answers = AnswerTests4To7(engine);
-  }
+  Engine incremental(StarSchema::PaperTestSchema());
+  PaperWorkload::Setup(incremental, rows);
+  StampPageLayout(report, incremental);
+  incremental.ConsumeIoStats();
+  const Measurement incremental_m = Measure(incremental, [&] {
+    SS_CHECK(
+        incremental.AppendFacts({.num_rows = delta_rows, .seed = 9}).ok());
+  });
+  report.Row("paper views: incremental (views + delta)", incremental_m);
+  const std::vector<QueryResult> incremental_answers =
+      AnswerTests4To7(incremental);
 
   // Rebuild: drop all views and re-materialize from the grown base.
   {
@@ -88,6 +124,7 @@ int main() {
                    "rebuilt views",
                    i);
     }
+    CheckSameStatsAndIndexes(incremental, engine);
   }
   report.Note(
       "Shape check (paper view set): the five Table 1 views total ~3x the\n"

@@ -15,9 +15,11 @@ src/server/ (the query-server subsystem) and src/opt/ (the five
 optimizers and the AND-OR DAG), plus the memory-accounting subsystem
 (exec/spill, exec/memory_budget, common/mem_stats), the incremental
 class-cost tracker (cost/class_cost_tracker), the CUBE/ROLLUP
-lattice path (cube/lattice, the derived-source operator), and the
-star-join filter operator (exec/operators/star_join_filter). Other
-files are ignored. Prints a per-file table and
+lattice path (cube/lattice, the derived-source operator), the
+star-join filter operator (exec/operators/star_join_filter), and the
+view build, refresh and splice path (cube/view_builder,
+cube/materialized_view, index/bitmap_join_index). Other files are
+ignored. Prints a per-file table and
 exits non-zero when total gated line coverage falls below the threshold
 (default 90%).
 """
@@ -41,6 +43,9 @@ GATED = (
     os.path.join("src", "cube", "lattice."),
     os.path.join("src", "exec", "operators", "derived_source."),
     os.path.join("src", "exec", "operators", "star_join_filter."),
+    os.path.join("src", "cube", "view_builder."),
+    os.path.join("src", "cube", "materialized_view."),
+    os.path.join("src", "index", "bitmap_join_index."),
 )
 
 

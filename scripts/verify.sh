@@ -14,7 +14,7 @@
 # aggregate output differs from the brute-force oracle or the serial run,
 # any charged page count changes, the disabled-trace overhead bound of
 # bench_vectorized_scan is exceeded, or refreshed views answer paper
-# Tests 4-7 unlike rebuilt ones), a
+# Tests 4-7, count members or look up index rows unlike rebuilt ones), a
 # clang-tidy pass over src/plan/ + src/exec/ (skipped when clang-tidy is
 # absent), a Release-build optimizer-differential pass (all five
 # optimizers, 200 seeded random workloads, bit-identical results and
@@ -22,8 +22,10 @@
 # src/server/, src/opt/, the memory-accounting subsystem, the
 # incremental class-cost tracker, the compressed-storage files
 # (packed_column, table_io), the CUBE/ROLLUP lattice path
-# (cube/lattice, the derived-source operator) and the star-join filter
-# kernel at >= 90% covered lines.
+# (cube/lattice, the derived-source operator), the star-join filter
+# kernel and the view build/refresh/splice path (cube/view_builder,
+# cube/materialized_view, index/bitmap_join_index) at >= 90% covered
+# lines.
 # All stages must pass. Run from the repository root:
 #
 #   scripts/verify.sh [jobs]
@@ -109,7 +111,8 @@ echo "==> perf-smoke: scan benches on reduced rows"
 (cd build && STARSHARE_ROWS=120000 ./bench/bench_vectorized_scan >/dev/null)
 (cd build && STARSHARE_ROWS=120000 ./bench/bench_parallel_scan >/dev/null)
 (cd build && STARSHARE_ROWS=120000 ./bench/bench_server_throughput >/dev/null)
-# The append path: Tests 4-7 over refreshed views must match rebuilt ones.
+# The append path: Tests 4-7, statistics and index lookups over refreshed
+# views must match rebuilt ones.
 (cd build && STARSHARE_ROWS=120000 ./bench/bench_ablation_maintenance >/dev/null)
 # The operator micro-benches only have to run; google-benchmark 1.7 takes
 # the minimum time as a plain number of seconds.
@@ -141,7 +144,7 @@ else
   echo "    clang-tidy not found; skipping (install LLVM tooling to enable)"
 fi
 
-echo "==> coverage: obs/server/opt/spill/storage/star-join line gate (>= 90%)"
+echo "==> coverage: obs/server/opt/spill/storage/star-join/view line gate (>= 90%)"
 cmake -B build-cov -S . -DCMAKE_BUILD_TYPE=Debug \
   -DSTARSHARE_COVERAGE=ON >/dev/null
 cmake --build build-cov -j "$JOBS"

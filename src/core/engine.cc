@@ -20,7 +20,9 @@ namespace starshare {
 namespace {
 
 // Checks that `table` has the layout `spec` stores: one key column per
-// retained dimension, one measure column per schema measure, and every key
+// retained dimension, named as the engine's own writers name it
+// (GroupBySpec::KeyColumnNames, so permuted columns cannot fold into the
+// wrong dimensions), one measure column per schema measure, and every key
 // inside its stored level's domain (the dense id range the pass masks,
 // translators and statistics index). A failure carries `code`.
 Status CheckTableFitsSpec(const StarSchema& schema, const GroupBySpec& spec,
@@ -37,6 +39,15 @@ Status CheckTableFitsSpec(const StarSchema& schema, const GroupBySpec& spec,
                   StrFormat("table %s has %zu measure columns, want %zu",
                             table.name().c_str(), table.num_measures(),
                             schema.num_measures()));
+  }
+  const std::vector<std::string> names = spec.KeyColumnNames(schema);
+  for (size_t c = 0; c < retained.size(); ++c) {
+    if (table.key_column_name(c) != names[c]) {
+      return Status(code, StrFormat("table %s: key column %zu is %s, want %s",
+                                    table.name().c_str(), c,
+                                    table.key_column_name(c).c_str(),
+                                    names[c].c_str()));
+    }
   }
   for (size_t c = 0; c < retained.size(); ++c) {
     const size_t d = retained[c];
@@ -182,14 +193,25 @@ Status Engine::AppendFactTable(std::unique_ptr<Table> delta) {
   if (base_view_ == nullptr) {
     return Status::FailedPrecondition("load the fact table first");
   }
+  {
+    // The append edits views, statistics and indexes in place, which a
+    // running server's controller thread reads.
+    std::lock_guard<std::mutex> lock(server_mu_);
+    if (server_ != nullptr && !server_->stop_requested()) {
+      return Status::FailedPrecondition(
+          "stop the query server before appending facts");
+    }
+  }
   if (delta == nullptr) return Status::InvalidArgument("no delta table");
   SS_RETURN_IF_ERROR(CheckTableFitsSpec(schema_, GroupBySpec::Base(schema_),
                                         *delta, StatusCode::kInvalidArgument));
   const MaterializedView delta_view(schema_, GroupBySpec::Base(schema_),
                                     delta.get());
 
-  // 1. Append to the base table (new pages written).
+  // 1. Append to the base table (new pages written). Base rows never move,
+  //    so every new row is inserted after the old ones.
   Table& base = base_view_->table();
+  const uint64_t old_rows = base.num_rows();
   const uint64_t old_pages = base.num_pages();
   std::vector<int32_t> key(schema_.num_dims());
   std::vector<double> values(schema_.num_measures());
@@ -203,24 +225,21 @@ Status Engine::AppendFactTable(std::unique_ptr<Table> delta) {
     base.AppendRowM(key.data(), values.data());
   }
   disk_.WritePages(base.num_pages() - old_pages);
-  const std::vector<size_t> base_indexed = base_view_->IndexedDims();
-  base_view_->ReplaceTable(schema_, &base);  // drops stale indexes/stats
-  base_view_->ComputeStats(schema_);
-  for (size_t d : base_indexed) base_view_->BuildIndex(schema_, d, disk_);
+  base_view_->SpliceRows(
+      schema_, &base, std::vector<uint64_t>(delta->num_rows(), old_rows),
+      disk_);
 
   if (result_cache_ != nullptr) result_cache_->Clear();  // data changed
 
   // 2. Refresh every view from (old view + delta): never rescans the base.
+  //    Statistics and indexes follow the inserted cells.
   for (const auto& view : views_.all()) {
     if (view.get() == base_view_) continue;
-    std::unique_ptr<Table> refreshed =
-        builder_.Refresh(*view, delta_view, disk_);
-    Result<Table*> registered = catalog_.Replace(std::move(refreshed));
+    RefreshedTable refreshed = builder_.Refresh(*view, delta_view, disk_);
+    Result<Table*> registered = catalog_.Replace(std::move(refreshed.table));
     if (!registered.ok()) return registered.status();
-    const std::vector<size_t> indexed = view->IndexedDims();
-    view->ReplaceTable(schema_, registered.value());
-    view->ComputeStats(schema_);
-    for (size_t d : indexed) view->BuildIndex(schema_, d, disk_);
+    view->SpliceRows(schema_, registered.value(), refreshed.inserted_before,
+                     disk_);
   }
   return Status::Ok();
 }

@@ -185,8 +185,9 @@ class Engine {
   MaterializedView* LoadFactTable(const DataGeneratorConfig& config);
 
   // Registers caller-provided base data instead (key columns must be
-  // base-level member ids per dimension, in schema order, and one measure
-  // column per schema measure; anything else is kInvalidArgument).
+  // base-level member ids per dimension, in schema order and named by
+  // GroupBySpec::KeyColumnNames, and one measure column per schema measure;
+  // anything else is kInvalidArgument).
   Result<MaterializedView*> AttachFactTable(std::unique_ptr<Table> table);
 
   MaterializedView* base_view() const { return base_view_; }
@@ -195,7 +196,10 @@ class Engine {
   // base table and incrementally refreshes every materialized view from
   // (old view + delta) — SUM views are self-maintainable, so the base is
   // never rescanned (paper intro: "maintaining precomputed group-bys").
-  // Indexes and statistics of affected views are rebuilt.
+  // Statistics and indexes follow the inserted rows in place
+  // (MaterializedView::SpliceRows) and end up equal to a rebuild. Fails
+  // with kFailedPrecondition while the query server runs (started and not
+  // stopped): its controller thread reads what the append edits.
   Status AppendFacts(const DataGeneratorConfig& config);
 
   // Same, with caller-provided delta rows (base-level member ids per
@@ -362,11 +366,11 @@ class Engine {
   // BuildIndexes as needed. Table files are read with bounded
   // retry-with-backoff, and a corrupt file surfaces as kCorruption, never
   // an abort. A file that reads back intact but does not fit its spec (key
-  // or measure column count, or a key outside its stored level's domain)
-  // is corrupt too. When `skipped_views` is non-null, a corrupt or
-  // unreadable *view* file (derived, rebuildable data) is skipped and its
-  // spec appended there instead of failing the load; the base table must
-  // always load.
+  // or measure column count, a key column name, or a key outside its
+  // stored level's domain) is corrupt too. When `skipped_views` is
+  // non-null, a corrupt or unreadable *view* file (derived, rebuildable
+  // data) is skipped and its spec appended there instead of failing the
+  // load; the base table must always load.
   Status LoadCube(const std::string& directory,
                   std::vector<std::string>* skipped_views = nullptr);
 

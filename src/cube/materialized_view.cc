@@ -1,6 +1,9 @@
 #include "cube/materialized_view.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "obs/trace.h"
 
 namespace starshare {
 namespace {
@@ -80,15 +83,72 @@ const BitmapJoinIndex* MaterializedView::IndexOn(size_t d, int level) const {
   return it == indexes_.end() ? nullptr : &it->second;
 }
 
-void MaterializedView::ReplaceTable(const StarSchema& schema, Table* table) {
+void MaterializedView::SpliceRows(const StarSchema& schema, Table* table,
+                                  std::span<const uint64_t> inserted_before,
+                                  DiskModel& disk) {
+  // The old table may already be gone (the catalog replaced it).
   SS_CHECK(table != nullptr);
-  const auto retained = spec_.RetainedDims(schema);
-  SS_CHECK_MSG(retained.size() == table->num_key_columns(),
-               "replacement table for %s has %zu key columns, want %zu",
-               name().c_str(), table->num_key_columns(), retained.size());
   table_ = table;
-  indexes_.clear();
-  member_prefix_.clear();
+  obs::ScopedSpan span("view.splice", name());
+  SS_CHECK_MSG(spec_.RetainedDims(schema).size() == table->num_key_columns(),
+               "spliced table for %s has %zu key columns", name().c_str(),
+               table->num_key_columns());
+  SS_CHECK(inserted_before.size() <= table->num_rows());
+  const uint64_t added = inserted_before.size();
+  const uint64_t old_rows = table->num_rows() - added;
+  span.AddRows(added);
+
+  // Statistics: each inserted row's stored key joins its member's count.
+  for (size_t d = 0; d < member_prefix_.size(); ++d) {
+    std::vector<uint64_t>& prefix = member_prefix_[d];
+    if (prefix.empty()) continue;
+    std::vector<uint64_t> counts(prefix.size(), 0);
+    for (uint64_t j = 0; j < added; ++j) {
+      const int32_t key = table->key(KeyColForDim(d), inserted_before[j] + j);
+      ++counts[static_cast<size_t>(key) + 1];
+    }
+    uint64_t below = 0;
+    for (size_t m = 1; m < prefix.size(); ++m) {
+      below += counts[m];
+      prefix[m] += below;
+    }
+  }
+
+  // Indexes. Rows before the first insertion point keep their RIDs; old
+  // row r from there on moves to new_rid[r - first], that is r plus the
+  // rows inserted at or before r.
+  const uint64_t first = added == 0 ? old_rows : inserted_before[0];
+  std::vector<uint32_t> new_rid;
+  if (!indexes_.empty()) {
+    new_rid.resize(old_rows - first);
+    uint64_t j = 0;
+    for (uint64_t r = first; r < old_rows; ++r) {
+      while (j < added && inserted_before[j] <= r) ++j;
+      new_rid[r - first] = static_cast<uint32_t>(r + j);
+    }
+  }
+  for (const size_t d : IndexedDims()) {
+    const Hierarchy& h = schema.dim(d);
+    const int stored = spec_.level(d);
+    // The rebuild's scan of the refreshed table, charged page by page.
+    table->ScanPages(disk, [](uint64_t, uint64_t) {});
+    for (int level = stored; level < h.num_levels(); ++level) {
+      auto it = indexes_.find(IndexKey(d, level));
+      if (it == indexes_.end()) continue;
+      // The inserted rows as (member, RID), by member then RID.
+      std::vector<std::pair<uint32_t, uint32_t>> rows;
+      rows.reserve(added);
+      for (uint64_t j = 0; j < added; ++j) {
+        const uint64_t rid = inserted_before[j] + j;
+        const int32_t member =
+            h.MapUp(stored, level, table->key(KeyColForDim(d), rid));
+        rows.emplace_back(static_cast<uint32_t>(member),
+                          static_cast<uint32_t>(rid));
+      }
+      std::sort(rows.begin(), rows.end());
+      it->second.SpliceRows(table->num_rows(), first, new_rid, rows, disk);
+    }
+  }
 }
 
 void MaterializedView::ComputeStats(const StarSchema& schema) {

@@ -65,10 +65,19 @@ class MaterializedView {
   // Dimensions with indexes, in schema order.
   std::vector<size_t> IndexedDims() const;
 
-  // Swaps in a refreshed table (same granularity; incremental view
-  // maintenance). Drops indexes and statistics — the caller rebuilds what
-  // it needs (Engine does both).
-  void ReplaceTable(const StarSchema& schema, Table* table);
+  // Installs `table`, this view's rows after an append (incremental view
+  // maintenance): every old row in its old order, plus one inserted row
+  // before each old row listed in `inserted_before` (ascending; the old
+  // row count for rows after every old one), as RefreshedTable describes.
+  // `table` may be the current table grown in place (the base). Statistics
+  // add the inserted rows' keys, and every index shifts its old RIDs past
+  // the rows inserted at or before them and adds each inserted row to its
+  // member's list — so both equal ComputeStats and BuildIndex over `table`
+  // without re-reading it. Charges `disk` exactly what that rebuild would:
+  // one scan of `table` per indexed dimension plus every level's segment
+  // writes.
+  void SpliceRows(const StarSchema& schema, Table* table,
+                  std::span<const uint64_t> inserted_before, DiskModel& disk);
 
   // ---- Statistics ---------------------------------------------------------
   // Exact per-member row counts at the stored level of every retained

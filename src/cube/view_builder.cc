@@ -350,39 +350,35 @@ std::unique_ptr<Table> ViewBuilder::Emit(const MultiAggregator& agg,
       sums[m].push_back(agg.cell_sum(m, cell));
     }
   }
-  return WriteTable(target, source_table, target.ToString(schema_),
-                    std::move(keys), std::move(sums), disk);
-}
-
-std::unique_ptr<Table> ViewBuilder::WriteTable(
-    const GroupBySpec& target, const Table& source_table,
-    const std::string& name, std::vector<std::vector<int32_t>> keys,
-    std::vector<std::vector<double>> sums, DiskModel& disk) const {
-  std::vector<std::string> key_names;
-  for (size_t d : target.RetainedDims(schema_)) {
-    key_names.push_back(schema_.dim(d).LevelName(target.level(d)));
-  }
-  std::vector<std::string> measure_names;
-  for (size_t m = 0; m < source_table.num_measures(); ++m) {
-    measure_names.push_back(source_table.measure_name(m));
-  }
-  auto table = std::make_unique<Table>(name, key_names, measure_names);
   std::vector<KeyColumn> key_columns;
   key_columns.reserve(keys.size());
   for (auto& column : keys) {
     key_columns.push_back(KeyColumn::FromRaw(std::move(column)));
   }
+  return WriteTable(target, source_table, target.ToString(schema_),
+                    std::move(key_columns), std::move(sums), disk);
+}
+
+std::unique_ptr<Table> ViewBuilder::WriteTable(
+    const GroupBySpec& target, const Table& source_table,
+    const std::string& name, std::vector<KeyColumn> keys,
+    std::vector<std::vector<double>> sums, DiskModel& disk) const {
+  std::vector<std::string> measure_names;
+  for (size_t m = 0; m < source_table.num_measures(); ++m) {
+    measure_names.push_back(source_table.measure_name(m));
+  }
+  auto table = std::make_unique<Table>(name, target.KeyColumnNames(schema_),
+                                       measure_names);
   // Pack before charging the write: the pages written are the pages later
   // scans of this view will read, so both sides price the same layout.
-  table->AdoptColumns(std::move(key_columns), std::move(sums),
-                      compressed_pages_);
+  table->AdoptColumns(std::move(keys), std::move(sums), compressed_pages_);
   disk.WritePages(table->num_pages());
   return table;
 }
 
-std::unique_ptr<Table> ViewBuilder::Refresh(const MaterializedView& view,
-                                            const MaterializedView& delta,
-                                            DiskModel& disk) const {
+RefreshedTable ViewBuilder::Refresh(const MaterializedView& view,
+                                    const MaterializedView& delta,
+                                    DiskModel& disk) const {
   SS_CHECK_MSG(delta.spec().CanAnswer(view.spec()),
                "delta %s cannot refresh view %s", delta.name().c_str(),
                view.name().c_str());
@@ -418,16 +414,16 @@ std::unique_ptr<Table> ViewBuilder::Refresh(const MaterializedView& view,
                                      delta_keys.data() + b);
               });
   }
-  std::unique_ptr<Table> table =
-      MergeDelta(view, packer, delta.table(), delta_keys, disk);
-  agg.AddRows(table->num_rows());
-  return table;
+  RefreshedTable refreshed =
+      MergeDelta(view, packer, delta.table(), delta_keys, disk, span);
+  agg.AddRows(refreshed.table->num_rows());
+  return refreshed;
 }
 
-std::unique_ptr<Table> ViewBuilder::MergeDelta(
+RefreshedTable ViewBuilder::MergeDelta(
     const MaterializedView& view, const KeyPacker& packer,
     const Table& delta, const std::vector<uint64_t>& delta_keys,
-    DiskModel& disk) const {
+    DiskModel& disk, obs::ScopedSpan& refresh_span) const {
   obs::ScopedSpan span("view.emit", view.spec().ToString(schema_));
   const bool clustered = view.clustered();
   const Table& old = view.table();
@@ -460,6 +456,7 @@ std::unique_ptr<Table> ViewBuilder::MergeDelta(
   std::vector<uint64_t> place(order.size());  // by Emit-order position
   std::vector<bool> matched(order.size());
   std::vector<double> cell_sums(cell_keys.size() * num_measures);
+  uint64_t new_cells = 0;
   uint64_t next = 0;  // first old row after the previous cell
   for (size_t i = 0; i < order.size(); ++i) {
     const uint32_t cell = order[i].second;
@@ -480,6 +477,7 @@ std::unique_ptr<Table> ViewBuilder::MergeDelta(
           matched[i] ? 0.0 + old.measure(lo, m) : 0.0;
     }
     next = matched[i] ? lo + 1 : lo;
+    if (!matched[i]) ++new_cells;
   }
   for (size_t r = 0; r < cell_of_row.size(); ++r) {
     for (size_t m = 0; m < num_measures; ++m) {
@@ -487,46 +485,59 @@ std::unique_ptr<Table> ViewBuilder::MergeDelta(
     }
   }
 
-  // The refreshed rows: runs of untouched old rows copied column by column
-  // (each value as 0.0 + value, the fold a cell with no delta row gets),
-  // with the delta cells at their places.
-  std::vector<std::vector<int32_t>> keys(packer.num_keys());
+  // The refreshed rows: every old row in order, shifted past the new cells
+  // inserted before it, each new cell at its place. Untouched rows take
+  // 0.0 + value (the fold a cell with no delta row gets), touched and new
+  // ones their cell's sum; the new cells' keys are spliced into the key
+  // columns.
+  RefreshedTable out;
+  out.inserted_before.reserve(new_cells);
+  std::vector<std::vector<int32_t>> new_keys(packer.num_keys());
   std::vector<std::vector<double>> sums(num_measures);
-  for (auto& column : keys) column.reserve(old_rows + cell_keys.size());
-  for (auto& column : sums) column.reserve(old_rows + cell_keys.size());
-  const auto copy_old = [&](uint64_t begin, uint64_t end) {
-    if (begin == end) return;
-    const size_t n = static_cast<size_t>(end - begin);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      const size_t base = keys[i].size();
-      keys[i].resize(base + n);
-      old.key_column(i).Decode(begin, end, keys[i].data() + base);
-    }
-    for (size_t m = 0; m < sums.size(); ++m) {
+  for (auto& column : new_keys) column.reserve(new_cells);
+  for (auto& column : sums) column.resize(old_rows + new_cells);
+  uint64_t shift = 0;  // new cells placed so far
+  const auto copy_measures = [&](uint64_t begin, uint64_t end) {
+    for (size_t m = 0; m < num_measures; ++m) {
       const double* values = old.measure_column(m).data();
-      const size_t base = sums[m].size();
-      sums[m].resize(base + n);
-      double* out = sums[m].data() + base;
-      for (size_t i = 0; i < n; ++i) out[i] = 0.0 + values[begin + i];
+      double* to = sums[m].data() + shift;
+      for (uint64_t r = begin; r < end; ++r) to[r] = 0.0 + values[r];
     }
   };
   next = 0;
   for (size_t i = 0; i < order.size(); ++i) {
     const uint32_t cell = order[i].second;
-    copy_old(next, place[i]);
-    for (size_t k = 0; k < keys.size(); ++k) {
-      keys[k].push_back(packer.Field(cell_keys[cell], k));
-    }
+    copy_measures(next, place[i]);
     for (size_t m = 0; m < num_measures; ++m) {
-      sums[m].push_back(cell_sums[cell * num_measures + m]);
+      sums[m][place[i] + shift] = cell_sums[cell * num_measures + m];
     }
-    next = matched[i] ? place[i] + 1 : place[i];
+    if (matched[i]) {
+      next = place[i] + 1;
+      continue;
+    }
+    out.inserted_before.push_back(place[i]);
+    for (size_t k = 0; k < new_keys.size(); ++k) {
+      new_keys[k].push_back(packer.Field(cell_keys[cell], k));
+    }
+    next = place[i];
+    ++shift;
   }
-  copy_old(next, old_rows);
+  copy_measures(next, old_rows);
 
-  span.AddRows(sums[0].size());
-  return WriteTable(view.spec(), old, view.name(), std::move(keys),
-                    std::move(sums), disk);
+  std::vector<KeyColumn> keys;
+  keys.reserve(new_keys.size());
+  uint64_t repacked = 0;
+  for (size_t k = 0; k < new_keys.size(); ++k) {
+    keys.push_back(KeyColumn::Splice(old.key_column(k), out.inserted_before,
+                                     new_keys[k]));
+    if (old.key_column(k).packed() && !keys.back().packed()) ++repacked;
+  }
+  refresh_span.AddCounter("new_cells", new_cells);
+  refresh_span.AddCounter("repacked_columns", repacked);
+  span.AddRows(old_rows + new_cells);
+  out.table = WriteTable(view.spec(), old, view.name(), std::move(keys),
+                         std::move(sums), disk);
+  return out;
 }
 
 std::vector<std::unique_ptr<Table>> ViewBuilder::Build(

@@ -31,6 +31,9 @@ namespace starshare {
 
 class KeyPacker;
 class NodeExec;
+namespace obs {
+class ScopedSpan;
+}  // namespace obs
 
 // Emit order, the order every view table lists its cells in: ascending
 // EmitSortKey of the packed group key (exec/key_packer.h), ties broken by
@@ -39,6 +42,18 @@ class NodeExec;
 // Builds sort into this order and Refresh merges into it, so a refreshed
 // view is laid out exactly as a rebuilt one.
 uint64_t EmitSortKey(uint64_t packed_key, bool clustered);
+
+// A view table refreshed by ViewBuilder::Refresh: every old row in its old
+// order (a cell the delta touches keeps its row), plus one inserted row per
+// cell new to the view.
+struct RefreshedTable {
+  std::unique_ptr<Table> table;
+  // Per inserted row, in row order: the old row it was inserted before
+  // (ascending; the old row count for a row after every old one). Inserted
+  // row j is row inserted_before[j] + j of `table`; old row r is row r plus
+  // the number of entries <= r.
+  std::vector<uint64_t> inserted_before;
+};
 
 class ViewBuilder {
  public:
@@ -100,15 +115,20 @@ class ViewBuilder {
   // The delta is mapped to the view's packed keys, its distinct cells are
   // sorted into Emit order, and they are merged into the old rows in one
   // pass: a cell the delta touches becomes 0.0 + its old value plus each
-  // delta row in arrival order, a new cell lands at its sorted position,
-  // and untouched runs are copied in bulk. The merge relies on the old rows
-  // being in Emit order (as every build and refresh writes them) for the
-  // result to equal re-aggregating (view + delta) bit for bit; rows out of
-  // order still lose nothing. Working state is O(delta). Charges one scan
-  // of the view, one of the delta and the new table's write.
-  std::unique_ptr<Table> Refresh(const MaterializedView& view,
-                                 const MaterializedView& delta,
-                                 DiskModel& disk) const;
+  // delta row in arrival order, a new cell is inserted at its sorted
+  // position, and untouched rows keep 0.0 + their value. Key columns are
+  // spliced (KeyColumn::Splice): untouched runs move as packed words, and
+  // only a new key outside a column's packed frame repacks it. The merge
+  // relies on the old rows being in Emit order (as every build and refresh
+  // writes them) for the result to equal re-aggregating (view + delta) bit
+  // for bit; rows out of order still lose nothing. Working state is
+  // O(delta). Charges one scan of the view, one of the delta and the new
+  // table's write. The returned insertion points let
+  // MaterializedView::SpliceRows carry the view's statistics and indexes
+  // over.
+  RefreshedTable Refresh(const MaterializedView& view,
+                         const MaterializedView& delta,
+                         DiskModel& disk) const;
 
  private:
   class MultiAggregator;
@@ -136,20 +156,21 @@ class ViewBuilder {
                               bool clustered) const;
 
   // Refresh's merge: `delta_keys[r]` is delta row r's key packed by
-  // `packer` (built for view.spec()).
-  std::unique_ptr<Table> MergeDelta(const MaterializedView& view,
-                                    const KeyPacker& packer,
-                                    const Table& delta,
-                                    const std::vector<uint64_t>& delta_keys,
-                                    DiskModel& disk) const;
+  // `packer` (built for view.spec()). Counts the new cells and repacked key
+  // columns on `refresh_span`.
+  RefreshedTable MergeDelta(const MaterializedView& view,
+                            const KeyPacker& packer, const Table& delta,
+                            const std::vector<uint64_t>& delta_keys,
+                            DiskModel& disk,
+                            obs::ScopedSpan& refresh_span) const;
 
   // Installs finished key and measure columns (rows in Emit order) as the
-  // table for `target`, named like `source_table`'s measures, and charges
-  // its write.
+  // table for `target`, named like `source_table`'s measures, normalizes
+  // the key layout to compressed_pages_ and charges its write.
   std::unique_ptr<Table> WriteTable(const GroupBySpec& target,
                                     const Table& source_table,
                                     const std::string& name,
-                                    std::vector<std::vector<int32_t>> keys,
+                                    std::vector<KeyColumn> keys,
                                     std::vector<std::vector<double>> sums,
                                     DiskModel& disk) const;
 

@@ -1,5 +1,7 @@
 #include "index/bitmap_join_index.h"
 
+#include <algorithm>
+
 namespace starshare {
 
 BitmapJoinIndex::BitmapJoinIndex(const Table& table, size_t key_col,
@@ -34,6 +36,42 @@ BitmapJoinIndex::BitmapJoinIndex(size_t key_col, uint64_t num_rows,
       num_values_(static_cast<uint32_t>(rid_lists.size())),
       num_rows_(num_rows),
       rid_lists_(std::move(rid_lists)) {
+  disk.WritePages(TotalPages());
+}
+
+void BitmapJoinIndex::SpliceRows(
+    uint64_t num_rows, uint64_t first, std::span<const uint32_t> new_rid,
+    std::span<const std::pair<uint32_t, uint32_t>> added, DiskModel& disk) {
+  num_rows_ = num_rows;
+  if (!new_rid.empty()) {
+    for (std::vector<uint32_t>& list : rid_lists_) {
+      for (auto it = std::lower_bound(list.begin(), list.end(), first);
+           it != list.end(); ++it) {
+        *it = new_rid[*it - first];
+      }
+    }
+  }
+  // Per member, merge its inserted RIDs into the shifted list from the
+  // back (the two sets are disjoint).
+  for (size_t begin = 0, end = 0; begin < added.size(); begin = end) {
+    const uint32_t member = added[begin].first;
+    SS_CHECK_MSG(member < num_values_,
+                 "member %u out of index domain [0,%u)", member, num_values_);
+    while (end < added.size() && added[end].first == member) ++end;
+    std::vector<uint32_t>& list = rid_lists_[member];
+    size_t old_left = list.size();
+    size_t new_left = end - begin;
+    list.resize(old_left + new_left);
+    for (size_t out = list.size(); new_left > 0;) {
+      const uint32_t rid = added[begin + new_left - 1].second;
+      if (old_left > 0 && list[old_left - 1] > rid) {
+        list[--out] = list[--old_left];
+      } else {
+        list[--out] = rid;
+        --new_left;
+      }
+    }
+  }
   disk.WritePages(TotalPages());
 }
 

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "index/bitmap.h"
@@ -46,6 +47,17 @@ class BitmapJoinIndex {
   BitmapJoinIndex& operator=(const BitmapJoinIndex&) = delete;
   BitmapJoinIndex(BitmapJoinIndex&&) = default;
 
+  // Follows rows inserted into the indexed table, which now has `num_rows`
+  // rows: RIDs below `first` stay, every RID r >= first becomes
+  // new_rid[r - first] (ascending in r), and each (member, RID) in `added`
+  // (sorted) joins its member's list at its sorted place. The lists then
+  // equal a build over the new table; the segment writes are charged as a
+  // build charges them.
+  void SpliceRows(uint64_t num_rows, uint64_t first,
+                  std::span<const uint32_t> new_rid,
+                  std::span<const std::pair<uint32_t, uint32_t>> added,
+                  DiskModel& disk);
+
   size_t key_col() const { return key_col_; }
   uint32_t num_values() const { return num_values_; }
   uint64_t num_rows() const { return num_rows_; }
@@ -53,6 +65,12 @@ class BitmapJoinIndex {
   // OR of the bitmaps for `values`; charges the index segments read.
   // Values outside [0, num_values) are ignored (empty bitmap contribution).
   Bitmap Lookup(std::span<const int32_t> values, DiskModel& disk) const;
+
+  // The RID list of member `value` in [0, num_values): its rows' positions,
+  // ascending.
+  std::span<const uint32_t> Rids(int32_t value) const {
+    return rid_lists_[static_cast<size_t>(value)];
+  }
 
   // Pages occupied by the segment of a single member (what one Lookup of
   // that member charges; used by the cost model).

@@ -3,18 +3,15 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "schema/groupby_spec.h"
 
 namespace starshare {
 
 std::unique_ptr<Table> DataGenerator::Generate(
     const std::string& table_name) const {
-  std::vector<std::string> key_names;
-  key_names.reserve(schema_.num_dims());
-  for (size_t d = 0; d < schema_.num_dims(); ++d) {
-    key_names.push_back(schema_.dim(d).dim_name());
-  }
-  auto table = std::make_unique<Table>(table_name, key_names,
-                                       schema_.measure_names());
+  auto table = std::make_unique<Table>(
+      table_name, GroupBySpec::Base(schema_).KeyColumnNames(schema_),
+      schema_.measure_names());
   table->Reserve(config_.num_rows);
 
   Rng rng(config_.seed);

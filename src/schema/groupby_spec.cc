@@ -92,6 +92,15 @@ std::vector<size_t> GroupBySpec::RetainedDims(const StarSchema& schema) const {
   return out;
 }
 
+std::vector<std::string> GroupBySpec::KeyColumnNames(
+    const StarSchema& schema) const {
+  std::vector<std::string> names;
+  for (size_t d : RetainedDims(schema)) {
+    names.push_back(schema.dim(d).LevelName(levels_[d]));
+  }
+  return names;
+}
+
 uint64_t GroupBySpec::MaxCells(const StarSchema& schema) const {
   uint64_t cells = 1;
   for (size_t d = 0; d < levels_.size(); ++d) {

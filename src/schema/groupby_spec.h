@@ -46,6 +46,12 @@ class GroupBySpec {
   // one key column per retained dimension, in this order.
   std::vector<size_t> RetainedDims(const StarSchema& schema) const;
 
+  // The key column names a table at this granularity carries: the stored
+  // level's name (Hierarchy::LevelName) of each retained dimension, in
+  // RetainedDims order. Every table the engine writes is named this way,
+  // and the load boundary checks incoming tables against it.
+  std::vector<std::string> KeyColumnNames(const StarSchema& schema) const;
+
   // Product of level cardinalities over retained dimensions = the maximum
   // number of cells (rows) a table at this granularity can have.
   uint64_t MaxCells(const StarSchema& schema) const;

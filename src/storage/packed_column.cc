@@ -1,5 +1,6 @@
 #include "storage/packed_column.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace starshare {
@@ -106,8 +107,91 @@ KeyColumn KeyColumn::FromPacked(uint64_t rows, uint32_t bits, int32_t ref,
   col.min_ = ref;
   col.max_ = ref + static_cast<int64_t>(col.mask_);
   col.any_ = rows > 0;
+  col.exact_bounds_ = !col.any_;
   words.push_back(0);  // sentinel for straddle loads
   col.words_ = std::move(words);
+  return col;
+}
+
+namespace {
+
+// ORs the `nbits` bits at bit `src_pos` of `src` into `dst` at bit
+// `dst_pos`, 64 at a time. Both arrays carry a sentinel word past their
+// payload, so the straddle load and store stay in bounds.
+void CopyBits(const uint64_t* src, uint64_t src_pos, uint64_t* dst,
+              uint64_t dst_pos, uint64_t nbits) {
+  while (nbits > 0) {
+    const uint64_t n = std::min<uint64_t>(nbits, 64);
+    const uint64_t src_off = src_pos & 63;
+    uint64_t chunk = src[src_pos >> 6] >> src_off;
+    if (src_off != 0) chunk |= src[(src_pos >> 6) + 1] << (64 - src_off);
+    if (n < 64) chunk &= (uint64_t{1} << n) - 1;
+    const uint64_t dst_off = dst_pos & 63;
+    dst[dst_pos >> 6] |= chunk << dst_off;
+    if (dst_off != 0) dst[(dst_pos >> 6) + 1] |= chunk >> (64 - dst_off);
+    src_pos += n;
+    dst_pos += n;
+    nbits -= n;
+  }
+}
+
+}  // namespace
+
+KeyColumn KeyColumn::Splice(const KeyColumn& old,
+                            std::span<const uint64_t> before,
+                            std::span<const int32_t> values) {
+  SS_CHECK(before.size() == values.size());
+  KeyColumn col;
+  col.size_ = old.size_ + values.size();
+  // The result's exact range: old's (rescanned when it is only FromPacked's
+  // window), widened by each new value.
+  const auto widen = [&col](int64_t v) {
+    col.min_ = col.any_ ? std::min(col.min_, v) : v;
+    col.max_ = col.any_ ? std::max(col.max_, v) : v;
+    col.any_ = true;
+  };
+  if (old.exact_bounds_) {
+    col.any_ = old.any_;
+    col.min_ = old.min_;
+    col.max_ = old.max_;
+  } else {
+    old.ForEach(0, old.size_, [&](uint64_t, int32_t v) { widen(v); });
+  }
+  for (size_t j = 0; j < values.size(); ++j) {
+    SS_DCHECK(before[j] <= old.size_ && (j == 0 || before[j - 1] <= before[j]));
+    widen(values[j]);
+  }
+  col.RecomputeWidth();
+
+  if (!old.packed_ || col.ref_ != old.ref_ || col.bits_ != old.bits_) {
+    std::vector<int32_t> raw(col.size_);
+    uint64_t from = 0;
+    for (size_t j = 0; j < values.size(); ++j) {
+      old.Decode(from, before[j], raw.data() + from + j);
+      raw[before[j] + j] = values[j];
+      from = before[j];
+    }
+    old.Decode(from, old.size_, raw.data() + from + values.size());
+    return FromRaw(std::move(raw));
+  }
+
+  const uint64_t bits = col.bits_;
+  col.packed_ = true;
+  col.words_.assign((col.size_ * bits + 63) / 64 + 1, 0);
+  uint64_t* words = col.words_.data();
+  uint64_t from = 0;
+  for (size_t j = 0; j < values.size(); ++j) {
+    CopyBits(old.words_.data(), from * bits, words, (from + j) * bits,
+             (before[j] - from) * bits);
+    const uint64_t delta = static_cast<uint64_t>(values[j] - col.ref_);
+    const uint64_t pos = (before[j] + j) * bits;
+    const uint64_t off = pos & 63;
+    words[pos >> 6] |= delta << off;
+    if (off != 0) words[(pos >> 6) + 1] |= delta >> (64 - off);
+    from = before[j];
+  }
+  CopyBits(old.words_.data(), from * bits, words,
+           (from + values.size()) * bits, (old.size_ - from) * bits);
   return col;
 }
 

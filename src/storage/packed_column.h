@@ -19,6 +19,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/macros.h"
@@ -103,6 +104,18 @@ class KeyColumn {
   // once for the min/max a later Pack() needs.
   static KeyColumn FromRaw(std::vector<int32_t> values);
 
+  // The column `old` with values[j] inserted before old row before[j]
+  // (`before` ascending, each <= old.size(); equal entries keep their
+  // order), equal to FromRaw of the spliced values followed by the caller's
+  // Pack or Unpack. When the exact range of the result keeps old's packed
+  // frame (the ref and bits Pack would pick), the untouched runs are copied
+  // as 64-bit chunks shifted to their new bit offset and each new value is
+  // written in place. Otherwise (a value that widens or lowers the frame,
+  // or a raw `old`) the result is raw, and Pack picks the new frame.
+  static KeyColumn Splice(const KeyColumn& old,
+                          std::span<const uint64_t> before,
+                          std::span<const int32_t> values);
+
   uint64_t MemoryBytes() const {
     return packed_ ? words_.capacity() * 8 : raw_.capacity() * 4;
   }
@@ -127,6 +140,10 @@ class KeyColumn {
   int64_t min_ = 0;
   int64_t max_ = 0;
   bool any_ = false;  // false until the first Append seeds min_/max_
+  // False while min_/max_ are FromPacked's conservative window (or a
+  // range grown from it) rather than the values' exact range; Splice then
+  // rescans once.
+  bool exact_bounds_ = true;
 };
 
 }  // namespace starshare

@@ -49,6 +49,19 @@ TEST_F(EngineTest, AttachValidatesColumnCount) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(EngineTest, AttachValidatesKeyColumnNames) {
+  // X and Y share a domain, so swapped columns pass the domain check; only
+  // their names tell.
+  Engine other(SmallSchema());
+  auto table = std::make_unique<Table>(
+      "swapped", std::vector<std::string>{"Y", "X", "Z"}, "amount");
+  const int32_t keys[] = {1, 2, 3};
+  table->AppendRow(keys, 1.0);
+  EXPECT_EQ(other.AttachFactTable(std::move(table)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(other.base_view(), nullptr);
+}
+
 TEST_F(EngineTest, AttachValidatesKeyDomain) {
   // X has 12 base members; a key outside [0, 12) would index past every
   // pass mask and statistics array.

@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <vector>
 
+#include "common/rng.h"
 #include "storage/packed_column.h"
 #include "storage/page.h"
 #include "storage/table.h"
@@ -109,6 +111,141 @@ TEST(PackedColumnTest, OutOfRangeAppendWidensInPlace) {
   col.Append(3);
   EXPECT_EQ(col.bits(), 10u);
   EXPECT_EQ(col.Get(51), 3);
+}
+
+// ---- Splice -----------------------------------------------------------------
+
+// `old`'s values with values[j] inserted before old row before[j].
+std::vector<int32_t> Spliced(const KeyColumn& old,
+                             const std::vector<uint64_t>& before,
+                             const std::vector<int32_t>& values) {
+  const std::vector<int32_t> old_values = DecodeAll(old);
+  std::vector<int32_t> out;
+  size_t j = 0;
+  for (uint64_t r = 0; r <= old_values.size(); ++r) {
+    for (; j < before.size() && before[j] == r; ++j) out.push_back(values[j]);
+    if (r < old_values.size()) out.push_back(old_values[r]);
+  }
+  return out;
+}
+
+// Splice, then Pack, must give what packing the spliced values from raw
+// gives: the same frame and the same words, sentinel included.
+void ExpectSpliceMatchesRepack(const KeyColumn& old,
+                               const std::vector<uint64_t>& before,
+                               const std::vector<int32_t>& values,
+                               bool expect_fast) {
+  KeyColumn want = KeyColumn::FromRaw(Spliced(old, before, values));
+  want.Pack();
+  KeyColumn got = KeyColumn::Splice(old, before, values);
+  EXPECT_EQ(got.packed(), expect_fast);
+  got.Pack();
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.bits(), want.bits());
+  EXPECT_EQ(got.ref(), want.ref());
+  EXPECT_EQ(got.words(), want.words());
+  EXPECT_EQ(DecodeAll(got), DecodeAll(want));
+}
+
+// `n` ascending insertion points into a column of `rows` rows, with ties.
+std::vector<uint64_t> InsertionPoints(Rng& rng, uint64_t rows, size_t n) {
+  std::vector<uint64_t> before;
+  for (size_t j = 0; j < n; ++j) before.push_back(rng.NextBounded(rows + 1));
+  if (n > 1) before[n / 2] = before[0];  // a tie
+  std::sort(before.begin(), before.end());
+  return before;
+}
+
+TEST(PackedColumnTest, SpliceMatchesRepackAtEveryWidth) {
+  Rng rng(2026);
+  for (const uint32_t bits : {1u, 3u, 7u, 13u, 14u, 31u, 32u}) {
+    SCOPED_TRACE("bits " + std::to_string(bits));
+    const int64_t span = int64_t{1} << bits;
+    const int64_t ref = bits >= 31 ? std::numeric_limits<int32_t>::min() : 5;
+    const auto value_at = [&](int64_t delta) {
+      return static_cast<int32_t>(ref + delta);
+    };
+    std::vector<int32_t> old_values = {value_at(0), value_at(span - 1)};
+    for (int i = 0; i < 300; ++i) {
+      old_values.push_back(value_at(static_cast<int64_t>(
+          rng.NextBounded(static_cast<uint64_t>(span)))));
+    }
+    KeyColumn old = KeyColumn::FromRaw(old_values);
+    old.Pack();
+    ASSERT_EQ(old.bits(), bits);
+
+    // In the frame: the fast path, at the front, the back, in runs.
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{120}}) {
+      std::vector<int32_t> values;
+      for (size_t j = 0; j < n; ++j) {
+        values.push_back(value_at(static_cast<int64_t>(
+            rng.NextBounded(static_cast<uint64_t>(span)))));
+      }
+      ExpectSpliceMatchesRepack(old, InsertionPoints(rng, old.size(), n),
+                                values, /*expect_fast=*/true);
+      ExpectSpliceMatchesRepack(old, std::vector<uint64_t>(n, 0), values,
+                                /*expect_fast=*/true);
+      ExpectSpliceMatchesRepack(old, std::vector<uint64_t>(n, old.size()),
+                                values, /*expect_fast=*/true);
+    }
+    if (bits < 31) {
+      // Above the frame widens it; below lowers its ref: both repack.
+      const std::vector<uint64_t> two = InsertionPoints(rng, old.size(), 2);
+      ExpectSpliceMatchesRepack(old, two, {value_at(1), value_at(span)},
+                                /*expect_fast=*/false);
+      ExpectSpliceMatchesRepack(old, two, {value_at(-1), value_at(0)},
+                                /*expect_fast=*/false);
+    }
+    // A raw column splices raw.
+    const KeyColumn raw = KeyColumn::FromRaw(old_values);
+    ExpectSpliceMatchesRepack(raw, {0, 3, 3, raw.size()},
+                              {value_at(0), value_at(1), value_at(0),
+                               value_at(span - 1)},
+                              /*expect_fast=*/false);
+  }
+}
+
+TEST(PackedColumnTest, SpliceOfLoadedColumnUsesExactRange) {
+  // FromPacked knows only the window [ref, ref + mask] of the file's frame.
+  // Values 1..5 at ref 1: 3 bits (window 1..8), or a wider 4-bit frame a
+  // file may carry (window 1..16).
+  const std::vector<int32_t> values = {1, 5, 3, 2, 5, 4, 1};
+  const auto load = [&](uint32_t bits) {
+    uint64_t word = 0;
+    for (size_t i = 0; i < values.size(); ++i) {
+      word |= static_cast<uint64_t>(values[i] - 1) << (bits * i);
+    }
+    return KeyColumn::FromPacked(values.size(), bits, 1, {word});
+  };
+  const KeyColumn tight = load(3);
+  const KeyColumn wide = load(4);
+  ASSERT_EQ(DecodeAll(tight), values);
+  ASSERT_EQ(DecodeAll(wide), values);
+
+  // In the wide window but not in the exact frame: repacks to 3 bits.
+  ExpectSpliceMatchesRepack(wide, {2}, {2}, /*expect_fast=*/false);
+  // Lowering to 0 moves the ref.
+  ExpectSpliceMatchesRepack(tight, {2}, {0}, /*expect_fast=*/false);
+  // In the frame: the fast path, and the result's range is the exact one,
+  // so a later repack picks the frame a rebuilt column would.
+  const std::vector<uint64_t> at_end = {7};
+  const std::vector<int32_t> two = {2};
+  KeyColumn once = KeyColumn::Splice(tight, at_end, two);
+  ASSERT_TRUE(once.packed());
+  once.Unpack();
+  once.Append(0);
+  once.Pack();
+  std::vector<int32_t> all = values;
+  all.push_back(2);
+  all.push_back(0);
+  KeyColumn want = KeyColumn::FromRaw(all);
+  want.Pack();
+  EXPECT_EQ(once.bits(), want.bits());
+  EXPECT_EQ(once.words(), want.words());
+  // And into an empty loaded column.
+  const KeyColumn empty = KeyColumn::FromPacked(0, 1, 0, {});
+  ExpectSpliceMatchesRepack(empty, {0, 0}, {0, 1}, /*expect_fast=*/true);
+  ExpectSpliceMatchesRepack(empty, {}, {}, /*expect_fast=*/true);
 }
 
 // ---- Compressed table geometry over the edge columns ----------------------

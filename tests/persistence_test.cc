@@ -5,14 +5,18 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "common/rng.h"
 #include "core/engine.h"
 #include "storage/table_io.h"
 #include "tests/test_util.h"
+#include "tests/view_identity.h"
 
 namespace starshare {
 namespace {
 
 using testing::BruteForce;
+using testing::ExpectSameStatsAndIndexes;
+using testing::ExpectSameTable;
 using testing::MakeQuery;
 using testing::SmallSchema;
 
@@ -222,6 +226,112 @@ TEST_F(PersistenceTest, LoadCubeRejectsOutOfDomainKeys) {
     EXPECT_EQ(lenient.LoadCube(dir_.string(), &skipped).code(),
               StatusCode::kCorruption);
     EXPECT_TRUE(skipped.empty());
+  }
+}
+
+// Rewrites the table file at `path` with its key column names reversed
+// and every column as it was.
+void ReverseKeyColumnNames(const std::filesystem::path& path) {
+  Result<std::unique_ptr<Table>> read = ReadTableFile(path.string());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  const Table& in = *read.value();
+  std::vector<std::string> key_names;
+  std::vector<KeyColumn> keys;
+  for (size_t c = 0; c < in.num_key_columns(); ++c) {
+    key_names.insert(key_names.begin(), in.key_column_name(c));
+    keys.push_back(in.key_column(c));
+  }
+  std::vector<std::string> measure_names;
+  std::vector<std::vector<double>> measures;
+  for (size_t m = 0; m < in.num_measures(); ++m) {
+    measure_names.push_back(in.measure_name(m));
+    measures.push_back(in.measure_column(m));
+  }
+  Table out(in.name(), key_names, measure_names);
+  out.AdoptColumns(std::move(keys), std::move(measures), in.compressed());
+  ASSERT_TRUE(WriteTableFile(out, path.string()).ok());
+}
+
+TEST_F(PersistenceTest, LoadCubeRejectsPermutedKeyColumns) {
+  // X' and Y' share a domain, so a view file whose key columns are named
+  // Y', X' fits every other check; its names tell.
+  SaveSmallCube(dir_);
+  ReverseKeyColumnNames(dir_ / "view_1.sstb");
+  ExpectViewRejectedAndSkipped(dir_);
+
+  // The base: always a hard error.
+  std::filesystem::remove_all(dir_);
+  SaveSmallCube(dir_);
+  ReverseKeyColumnNames(dir_ / "view_0.sstb");
+  Engine strict(SmallSchema());
+  EXPECT_EQ(strict.LoadCube(dir_.string()).code(), StatusCode::kCorruption);
+  Engine lenient(SmallSchema());
+  std::vector<std::string> skipped;
+  EXPECT_EQ(lenient.LoadCube(dir_.string(), &skipped).code(),
+            StatusCode::kCorruption);
+}
+
+// Integer facts with X in [4, 12), so the base packs X at ref 4 and the
+// X'Y' view packs X' at ref 1, in a frame whose window reaches past its
+// largest value.
+std::unique_ptr<Table> FactsFromX4(const StarSchema& schema, uint64_t rows,
+                                   uint64_t seed) {
+  auto table = std::make_unique<Table>(
+      "facts", GroupBySpec::Base(schema).KeyColumnNames(schema),
+      schema.measure_names());
+  Rng rng(seed);
+  for (uint64_t r = 0; r < rows; ++r) {
+    const int32_t keys[] = {4 + static_cast<int32_t>(rng.NextBounded(8)),
+                            static_cast<int32_t>(rng.NextBounded(12)),
+                            static_cast<int32_t>(rng.NextBounded(12))};
+    table->AppendRow(keys, static_cast<double>(rng.NextBounded(1000)));
+  }
+  return table;
+}
+
+TEST_F(PersistenceTest, AppendAfterLoadMatchesNeverSaved) {
+  // A loaded view knows only its file's packed frame, not its exact value
+  // range. Appends to it must still give what the same appends give on an
+  // engine that never saved: the same packed words, statistics and RID
+  // lists, whether a delta stays in the frame or lowers it.
+  const auto build = [](Engine& engine) {
+    ASSERT_TRUE(
+        engine.AttachFactTable(FactsFromX4(engine.schema(), 3000, 71)).ok());
+    ASSERT_TRUE(engine.MaterializeView("X'Y'").ok());
+    ASSERT_TRUE(engine.MaterializeView("X''Z'", /*clustered=*/true).ok());
+  };
+  Engine saved(SmallSchema());
+  build(saved);
+  ASSERT_TRUE(saved.SaveCube(dir_.string()).ok());
+  Engine loaded(SmallSchema());
+  ASSERT_TRUE(loaded.LoadCube(dir_.string()).ok());
+  Engine never(SmallSchema());
+  build(never);
+  for (Engine* engine : {&loaded, &never}) {
+    ASSERT_TRUE(engine->BuildIndexes("X'Y'", {"X", "Y"}).ok());
+    ASSERT_TRUE(engine->BuildIndexes("XYZ", {"X"}).ok());
+  }
+
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    for (Engine* engine : {&loaded, &never}) {
+      // Round 0 stays in every frame; the generated facts reach X = 0.
+      const Status appended =
+          round == 0 ? engine->AppendFactTable(
+                           FactsFromX4(engine->schema(), 400, 73))
+                     : engine->AppendFacts({.num_rows = 400,
+                                            .seed = 74u + round,
+                                            .integer_measures = true});
+      ASSERT_TRUE(appended.ok()) << appended.ToString();
+    }
+    for (const char* name : {"facts", "X'Y'", "X''Z'"}) {
+      const MaterializedView* got = loaded.views().FindByName(name);
+      const MaterializedView* want = never.views().FindByName(name);
+      ASSERT_NE(got, nullptr);
+      ASSERT_NE(want, nullptr);
+      ExpectSameTable(got->table(), want->table(), name);
+      ExpectSameStatsAndIndexes(loaded.schema(), *got, *want, name);
+    }
   }
 }
 

@@ -175,6 +175,24 @@ TEST(ServerSessionTest, StopServerRefusesFurtherSubmissionsTyped) {
   EXPECT_EQ(handle.Await().status.code(), StatusCode::kShuttingDown);
 }
 
+// An append edits the views, statistics and indexes the controller thread
+// reads, so it is refused while the server runs and allowed once it has
+// stopped (run under TSan by scripts/verify.sh).
+TEST(ServerSessionTest, AppendRefusedWhileServerRuns) {
+  auto engine = MakeEngine(1, 1024);
+  ASSERT_TRUE(engine->MaterializeView("X'Y'").ok());
+  ASSERT_TRUE(engine->BuildIndexes("X'Y'", {"X"}).ok());
+  const auto queries = Workload(engine->schema());
+  QueryHandle handle = engine->Submit(queries[0]);
+  EXPECT_EQ(engine->AppendFacts({.num_rows = 100, .seed = 5}).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(handle.Await().ok());
+  EXPECT_EQ(engine->base_view()->table().num_rows(), kRows);
+  engine->StopServer();
+  EXPECT_TRUE(engine->AppendFacts({.num_rows = 100, .seed = 5}).ok());
+  EXPECT_EQ(engine->base_view()->table().num_rows(), kRows + 100);
+}
+
 // The UAF regression the typed ThreadPool shutdown exists for: destroying
 // the Engine with queries still in flight must complete every handle with
 // either its real result or kShuttingDown — never hang, never touch freed

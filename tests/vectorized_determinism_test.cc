@@ -403,7 +403,7 @@ TEST_F(VectorizedDeterminismTest, RefreshMatchesReferenceBuild) {
 
     MaterializedView view(schema_, target, table.get());
     DiskModel disk;
-    auto refreshed = builder.Refresh(view, *view_, disk);
+    auto refreshed = builder.Refresh(view, *view_, disk).table;
     const testing::ReferenceViews want =
         ReferenceBuild(schema_, {&view, view_.get()}, {target}, false, false);
     ExpectTablesBitIdentical(*refreshed, *want.tables[0], "Refresh");

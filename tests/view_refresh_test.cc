@@ -3,14 +3,15 @@
 // re-aggregates everything instead: it folds each old cell as 0.0 + its
 // value, then each delta row in arrival order, into a std::map and emits
 // the cells in Emit order. The merge must match it byte for byte (rows,
-// order, measure bits, names, packed widths) and charge the same I/O, for
-// every layout and delta shape below.
+// order, measure bits, names, packed words) and charge the same I/O, for
+// every layout and delta shape below. MaterializedView::SpliceRows then
+// carries the view's statistics and indexes over; they must equal
+// ComputeStats and BuildIndex over the reference table, at the same I/O.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,11 +23,14 @@
 #include "storage/disk_model.h"
 #include "tests/oracles.h"
 #include "tests/test_util.h"
+#include "tests/view_identity.h"
 
 namespace starshare {
 namespace {
 
 using testing::BruteForce;
+using testing::ExpectSameStatsAndIndexes;
+using testing::ExpectSameTable;
 
 // SmallSchema's hierarchies with two measures, so every per-measure path
 // runs more than once.
@@ -79,43 +83,21 @@ std::vector<Fact> RandomFacts(uint64_t rows, uint64_t seed, bool integer,
   return facts;
 }
 
-void ExpectSameTable(const Table& got, const Table& want,
-                     const std::string& label) {
-  EXPECT_EQ(got.name(), want.name()) << label;
-  EXPECT_EQ(got.compressed(), want.compressed()) << label;
-  EXPECT_EQ(got.tuple_width_bits(), want.tuple_width_bits()) << label;
-  ASSERT_EQ(got.num_rows(), want.num_rows()) << label;
-  ASSERT_EQ(got.num_key_columns(), want.num_key_columns()) << label;
-  ASSERT_EQ(got.num_measures(), want.num_measures()) << label;
-  for (size_t c = 0; c < got.num_key_columns(); ++c) {
-    EXPECT_EQ(got.key_column_name(c), want.key_column_name(c)) << label;
-    EXPECT_EQ(got.key_column(c).packed(), want.key_column(c).packed())
-        << label;
-    EXPECT_EQ(got.key_column(c).bits(), want.key_column(c).bits())
-        << label << " column " << c;
-    EXPECT_EQ(got.key_column(c).ref(), want.key_column(c).ref())
-        << label << " column " << c;
-  }
-  for (size_t m = 0; m < got.num_measures(); ++m) {
-    EXPECT_EQ(got.measure_name(m), want.measure_name(m)) << label;
-  }
-  for (uint64_t r = 0; r < got.num_rows(); ++r) {
-    for (size_t c = 0; c < got.num_key_columns(); ++c) {
-      ASSERT_EQ(got.key(c, r), want.key(c, r))
-          << label << " row " << r << " column " << c;
-    }
-    for (size_t m = 0; m < got.num_measures(); ++m) {
-      const double a = got.measure(r, m);
-      const double b = want.measure(r, m);
-      ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
-          << label << " row " << r << " measure " << m << ": " << a
-          << " vs " << b;
-    }
+// Gives `view` statistics and an index on every retained dimension,
+// charged to `disk`.
+void StatsAndIndexes(const StarSchema& schema, MaterializedView& view,
+                     DiskModel& disk) {
+  view.ComputeStats(schema);
+  for (const size_t d : view.spec().RetainedDims(schema)) {
+    view.BuildIndex(schema, d, disk);
   }
 }
 
-// Builds `spec` over `base` with ViewBuilder::Build, refreshes it with
-// `delta`, and checks the result and its I/O against the reference.
+// Builds `spec` over `base` with ViewBuilder::Build, gives it statistics
+// and indexes, refreshes it with `delta` and splices the refreshed rows
+// into it. The table must equal the reference, and the statistics and
+// indexes must equal ComputeStats and BuildIndex over the reference table,
+// with refresh + splice charging what refresh + rebuild charge.
 void CheckRefresh(const StarSchema& schema, const std::vector<Fact>& base,
                   const std::string& spec_text, bool compressed,
                   bool clustered, const std::vector<Fact>& delta,
@@ -132,18 +114,29 @@ void CheckRefresh(const StarSchema& schema, const std::vector<Fact>& base,
       builder.Build(base_view, {spec}, build_disk, clustered).front());
   MaterializedView view(schema, spec, old_table.get());
   view.set_clustered(clustered);
+  StatsAndIndexes(schema, view, build_disk);
 
   const std::unique_ptr<Table> delta_table = MakeTable("delta", delta);
   const MaterializedView delta_view(schema, GroupBySpec::Base(schema),
                                     delta_table.get());
   DiskModel disk;
-  const std::unique_ptr<Table> refreshed =
-      builder.Refresh(view, delta_view, disk);
+  const RefreshedTable refreshed = builder.Refresh(view, delta_view, disk);
   const testing::ReferenceViews want = testing::ReferenceBuild(
       schema, {&view, &delta_view}, {spec}, clustered, compressed);
-  ExpectSameTable(*refreshed, *want.tables[0], label);
-  EXPECT_EQ(disk.stats(), want.io) << disk.stats().ToString() << " vs "
-                                   << want.io.ToString();
+  ExpectSameTable(*refreshed.table, *want.tables[0], label);
+  EXPECT_EQ(refreshed.table->num_rows() - refreshed.inserted_before.size(),
+            old_table->num_rows());
+
+  view.SpliceRows(schema, refreshed.table.get(), refreshed.inserted_before,
+                  disk);
+  MaterializedView rebuilt(schema, spec, want.tables[0].get());
+  DiskModel rebuild_disk;
+  StatsAndIndexes(schema, rebuilt, rebuild_disk);
+  IoStats want_io = want.io;
+  want_io += rebuild_disk.stats();
+  EXPECT_EQ(disk.stats(), want_io) << disk.stats().ToString() << " vs "
+                                   << want_io.ToString();
+  ExpectSameStatsAndIndexes(schema, view, rebuilt, label);
 }
 
 TEST(ViewRefreshTest, MergeMatchesReferenceAcrossLayoutsAndDeltas) {
@@ -182,6 +175,27 @@ TEST(ViewRefreshTest, MergeMatchesReferenceAcrossLayoutsAndDeltas) {
                        label + " (coarse view)");
         }
       }
+    }
+  }
+}
+
+TEST(ViewRefreshTest, KeyBelowTheOldFrameRepacks) {
+  // X stays in [6, 12) in the old view, so X' in {2, 3} packs at ref 2; a
+  // delta row with X' = 0 moves the ref down, and X = 0 the base-level one.
+  const StarSchema schema = TwoMeasureSchema();
+  std::vector<Fact> base = RandomFacts(300, 41, /*integer=*/false, 6);
+  for (Fact& f : base) f.x += 6;
+  std::vector<Fact> delta = RandomFacts(40, 43, /*integer=*/false, 6);
+  delta[5].x = 0;
+  for (const bool compressed : {false, true}) {
+    for (const bool clustered : {false, true}) {
+      const std::string label =
+          std::string(compressed ? "compressed" : "uncompressed") +
+          (clustered ? " clustered" : " hash-order");
+      CheckRefresh(schema, base, "X'Y'Z", compressed, clustered, delta,
+                   label);
+      CheckRefresh(schema, base, "XZ'", compressed, clustered, delta,
+                   label + " (base-level X)");
     }
   }
 }
@@ -236,7 +250,8 @@ TEST(ViewRefreshTest, UntouchedCellsFoldLikeTheReference) {
                                delta_table.get());
   ViewBuilder builder(schema);
   DiskModel disk;
-  const std::unique_ptr<Table> refreshed = builder.Refresh(view, delta, disk);
+  const std::unique_ptr<Table> refreshed =
+      builder.Refresh(view, delta, disk).table;
   const testing::ReferenceViews want =
       testing::ReferenceBuild(schema, {&view, &delta}, {spec}, false, false);
   ExpectSameTable(*refreshed, *want.tables[0], "negative zero");
@@ -276,13 +291,25 @@ TEST(ViewRefreshTest, OutOfOrderViewKeepsEverySum) {
       const double values[] = {built->measure(r, 0), built->measure(r, 1)};
       reversed->AppendRowM(keys.data(), values);
     }
-    const MaterializedView view(schema, spec, reversed.get());
+    MaterializedView view(schema, spec, reversed.get());
+    StatsAndIndexes(schema, view, disk);
     const std::unique_ptr<Table> delta_table = MakeTable("delta", delta);
     const MaterializedView delta_view(schema, GroupBySpec::Base(schema),
                                       delta_table.get());
-    const std::unique_ptr<Table> refreshed =
-        builder.Refresh(view, delta_view, disk);
+    RefreshedTable spliced = builder.Refresh(view, delta_view, disk);
+    const std::unique_ptr<Table> refreshed = std::move(spliced.table);
     ASSERT_GE(refreshed->num_rows(), reversed->num_rows());
+
+    // Whatever the merge placed, the splice keeps statistics and indexes
+    // equal to a rebuild over the refreshed rows, charging the same I/O.
+    DiskModel splice_disk;
+    view.SpliceRows(schema, refreshed.get(), spliced.inserted_before,
+                    splice_disk);
+    MaterializedView rebuilt(schema, spec, refreshed.get());
+    DiskModel rebuild_disk;
+    StatsAndIndexes(schema, rebuilt, rebuild_disk);
+    EXPECT_EQ(splice_disk.stats(), rebuild_disk.stats());
+    ExpectSameStatsAndIndexes(schema, view, rebuilt, spec_text);
 
     std::vector<Fact> all = base;
     all.insert(all.end(), delta.begin(), delta.end());
