@@ -1,20 +1,22 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the plain build + full test suite, the same suite
 # under AddressSanitizer + UBSan (-DSTARSHARE_SANITIZE=ON), a dedicated
-# ASan pass of the spilling-aggregation suite (tiny budgets exercise every
-# spill/merge/cleanup path under the leak checker), the threading suites
-# under ThreadSanitizer (-DSTARSHARE_SANITIZE=thread), a TSan pass of the
-# query-server suites (cross-session admission races, shutdown with
+# ASan pass of the spill suites (tiny budgets and failed writes exercise
+# every stage/spill/replay/cleanup path under the leak checker), the
+# threading suites under ThreadSanitizer (-DSTARSHARE_SANITIZE=thread), a
+# TSan pass of the query-server suites (cross-session admission races,
+# shutdown with
 # queries in flight), ASan+TSan passes of the CUBE/ROLLUP lattice suite
 # (derived-table lifetimes, rollup passes on the morsel driver), a
 # second full-suite pass with
 # STARSHARE_UNCOMPRESSED=1 (the raw page layout), a perf-smoke
-# pass of the scan and maintenance benches on a reduced row count plus a
-# short operator micro-bench run (their internal checks fail the stage if
-# aggregate output differs from the brute-force oracle or the serial run,
-# any charged page count changes, the disabled-trace overhead bound of
-# bench_vectorized_scan is exceeded, or refreshed views answer paper
-# Tests 4-7, count members or look up index rows unlike rebuilt ones), a
+# pass of the scan, maintenance and spill benches on a reduced row count
+# plus a short operator micro-bench run (their internal checks fail the
+# stage if aggregate output differs from the brute-force oracle, the
+# serial run or the unbudgeted run, any charged page count changes, the
+# disabled-trace overhead bound of bench_vectorized_scan is exceeded, or
+# refreshed views answer paper Tests 4-7, count members or look up index
+# rows unlike rebuilt ones), a
 # clang-tidy pass over src/plan/ + src/exec/ (skipped when clang-tidy is
 # absent), a Release-build optimizer-differential pass (all five
 # optimizers, 200 seeded random workloads, bit-identical results and
@@ -54,15 +56,18 @@ ASAN_OPTIONS=detect_leaks=1 \
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ctest --test-dir build-sanitize --output-on-failure -j "$JOBS"
 
-echo "==> spill suite under ASan (tiny budgets, scratch hygiene, chaos)"
+echo "==> spill suites under ASan (tiny budgets, scratch hygiene, chaos)"
 # spill_aggregate_test runs budgets down to 1 byte (every batch spills),
 # injects spill.write/spill.read/budget.grant faults, and scans the
-# scratch dir after every run; under ASan's leak checker this proves the
-# spill files and buffers are released on success and failure alike.
+# scratch dir after every run; spill_packed_test drives SpillFile and
+# SpillStage directly (word-window merges, runs plus an in-memory tail,
+# a failed write that leaves its records staged). Under ASan's leak
+# checker this proves the spill files and buffers are released on
+# success and failure alike.
 ASAN_OPTIONS=detect_leaks=1 \
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ctest --test-dir build-sanitize --output-on-failure \
-  -R 'spill_aggregate_test'
+  -R 'spill_aggregate_test|spill_packed_test'
 
 echo "==> TSan build + threading suites"
 cmake -B build-tsan -S . -DSTARSHARE_SANITIZE=thread >/dev/null
@@ -114,6 +119,10 @@ echo "==> perf-smoke: scan benches on reduced rows"
 # The append path: Tests 4-7, statistics and index lookups over refreshed
 # views must match rebuilt ones.
 (cd build && STARSHARE_ROWS=120000 ./bench/bench_ablation_maintenance >/dev/null)
+# The spill path: every budgeted result must be bit-identical to the
+# unbounded run, and modeled I/O unchanged, at budgets down to 1/16 of the
+# working set.
+(cd build && STARSHARE_ROWS=120000 ./bench/bench_spill_aggregate >/dev/null)
 # The operator micro-benches only have to run; google-benchmark 1.7 takes
 # the minimum time as a plain number of seconds.
 (cd build && ./bench/bench_micro_operators --benchmark_min_time=0.01 >/dev/null)

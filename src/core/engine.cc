@@ -24,7 +24,8 @@ namespace {
 // (GroupBySpec::KeyColumnNames, so permuted columns cannot fold into the
 // wrong dimensions), one measure column per schema measure, and every key
 // inside its stored level's domain (the dense id range the pass masks,
-// translators and statistics index). A failure carries `code`.
+// translators and statistics index), read from each column's exact bounds.
+// A failure carries `code`.
 Status CheckTableFitsSpec(const StarSchema& schema, const GroupBySpec& spec,
                           const Table& table, StatusCode code) {
   const std::vector<size_t> retained = spec.RetainedDims(schema);
@@ -53,11 +54,7 @@ Status CheckTableFitsSpec(const StarSchema& schema, const GroupBySpec& spec,
     const size_t d = retained[c];
     const int64_t card = schema.dim(d).cardinality(spec.level(d));
     const KeyColumn& col = table.key_column(c);
-    bool in_domain = true;
-    col.ForEach(0, col.size(), [&](uint64_t, int32_t key) {
-      in_domain &= key >= 0 && key < card;
-    });
-    if (!in_domain) {
+    if (col.size() > 0 && (col.min() < 0 || col.max() >= card)) {
       return Status(code, StrFormat("table %s: key out of range on %s",
                                     table.name().c_str(),
                                     schema.dim(d).dim_name().c_str()));
@@ -118,13 +115,11 @@ Engine::Engine(StarSchema schema, EngineConfig config)
   }
   set_parallelism(config_.parallelism);
   // Compressed layout: the catalog normalizes every registered table
-  // (generator output, view builds, cube loads, attached fact tables), the
-  // builder packs before charging view-write I/O, and spill runs reuse the
-  // bit-packed key encoding.
+  // (generator output, view builds, cube loads, attached fact tables), and
+  // the builder packs before charging view-write I/O.
   catalog_.set_compressed_default(config_.compressed_pages);
   builder_.set_compressed_pages(config_.compressed_pages);
-  SpillConfig spill{config_.scratch_dir};
-  spill.packed_keys = config_.compressed_pages;
+  const SpillConfig spill{config_.scratch_dir};
   executor_.set_memory_budget(&memory_budget_, spill);
   builder_.set_memory_budget(&memory_budget_, spill);
 }

@@ -69,7 +69,8 @@ struct EngineConfig {
   // bit-identical to serial at any setting (see DESIGN.md "Parallel
   // execution model"). 0 means ThreadPool::HardwareThreads().
   size_t parallelism = 1;
-  // Rows per morsel for parallel passes (0 = automatic, page aligned).
+  // Rows per morsel for parallel passes (0 = 16K rows rounded up to whole
+  // pages; see ParallelPolicy::morsel_rows).
   uint64_t morsel_rows = 0;
   // Rows per batch for the shared operators, view builds and the query
   // server's scans. Any batch size produces bit-identical results and
@@ -104,9 +105,9 @@ struct EngineConfig {
   // fewer pages). Packing is lossless: results are bit-identical to the
   // uncompressed layout at any parallelism x batch x memory budget, and
   // the cost model prices the same geometry the scans charge, so EXPLAIN
-  // ANALYZE estimated == actual either way. Spill runs reuse the same
-  // encoding (SpillConfig::packed_keys). false restores the historical
-  // 4k + 8m byte layout exactly. The default is true; setting
+  // ANALYZE estimated == actual either way. It does not reach spill runs,
+  // which always bit-pack their keys (exec/spill.h). false restores the
+  // historical 4k + 8m byte layout exactly. The default is true; setting
   // STARSHARE_UNCOMPRESSED=1 in the environment flips the default to
   // false (verify.sh uses this to run the whole tier-1 suite on the raw
   // layout) — explicit assignments always win over the env.

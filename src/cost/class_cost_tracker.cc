@@ -56,7 +56,6 @@ std::vector<const DimensionalQuery*> ClassCostTracker::Members() const {
 ClassCostTracker::MemberCost ClassCostTracker::ComputeMemberCost(
     const DimensionalQuery& query) const {
   const MaterializedView& v = *base_;
-  const CpuCosts& cpu = cost_->cpu();
   const double rows = static_cast<double>(v.table().num_rows());
   const double match = cost_->MatchRows(query, v);
   const double retained =
@@ -73,8 +72,7 @@ ClassCostTracker::MemberCost ClassCostTracker::ComputeMemberCost(
   // Scan-form increment: the cheaper of hashing on the shared scan and an
   // index lookup riding it (§3.3) — the same two candidate increments
   // CostModel::MakeClassPlan prices per member.
-  const double hash_incr =
-      (rows * cpu.check_ns + match * cpu.agg_ns) * kNsToMs;
+  const double hash_incr = cost_->HashMemberNs(rows, match) * kNsToMs;
   double index_incr = kInf;
   m.indexable = cost_->IndexAvailable(query, v);
   if (m.indexable) {
@@ -83,15 +81,15 @@ ClassCostTracker::MemberCost ClassCostTracker::ComputeMemberCost(
         static_cast<double>(cost_->ResidualDims(query, v));
     index_incr =
         cost_->IndexLookupIoMs(query, v) + cost_->IndexBitmapCpuMs(query, v) +
-        (rows * cpu.check_ns + cand * residual * cpu.probe_ns +
-         match * (retained * cpu.probe_ns + cpu.agg_ns)) *
-            kNsToMs;
+        cost_->IndexMemberNs(rows, cand, residual, match, retained) * kNsToMs;
   }
   m.scan_uses_hash = hash_incr <= index_incr;
   m.scan_incr = m.scan_uses_hash ? hash_incr : index_incr;
 
-  // All-index form (§3.2) pieces. The member's CPU there is
-  //   idx_const + union_rows * check_ns, with union_rows shared class-wide.
+  // All-index form (§3.2) pieces. The member's CPU there is the index
+  // member term at union_rows check rows, with union_rows shared
+  // class-wide: idx_const is the term at 0 check rows (exact, as
+  // 0.0 + x == x), and TotalOf adds the checks.
   if (m.indexable) {
     const double cand_sel = cost_->CandidateSelectivity(query, v);
     const double cand = rows * cand_sel;
@@ -102,9 +100,7 @@ ClassCostTracker::MemberCost ClassCostTracker::ComputeMemberCost(
     m.sel_miss = 1.0 - query.Selectivity(*schema_);
     m.idx_const =
         cost_->IndexLookupIoMs(query, v) + cost_->IndexBitmapCpuMs(query, v) +
-        (cand * residual * cpu.probe_ns +
-         match * (retained * cpu.probe_ns + cpu.agg_ns)) *
-            kNsToMs;
+        cost_->IndexMemberNs(0.0, cand, residual, match, retained) * kNsToMs;
   }
   return m;
 }
@@ -151,7 +147,6 @@ void ClassCostTracker::Apply(Aggregates& agg, const MemberCost& m, int sign) {
 double ClassCostTracker::TotalOf(const Aggregates& agg) const {
   if (agg.n == 0) return 0;
   const MaterializedView& v = *base_;
-  const CpuCosts& cpu = cost_->cpu();
   const double rows = static_cast<double>(v.table().num_rows());
 
   // Scan-based form: shared scan I/O + shared CPU over the union of the
@@ -165,10 +160,8 @@ double ClassCostTracker::TotalOf(const Aggregates& agg) const {
       probes += 1;
       build_entries += schema_->dim(d).cardinality(v.StoredLevel(d));
     }
-    const double shared_cpu_ns =
-        rows * (cpu.tuple_ns + probes * cpu.probe_ns) +
-        build_entries * cpu.build_entry_ns;
-    scan_total = cost_->ScanIoMs(v) + shared_cpu_ns * kNsToMs +
+    scan_total = cost_->ScanIoMs(v) +
+                 cost_->SharedScanNs(rows, probes, build_entries) * kNsToMs +
                  agg.sum_scan_incr;
   }
 
@@ -186,9 +179,9 @@ double ClassCostTracker::TotalOf(const Aggregates& agg) const {
     }
     const double union_rows =
         rows * (1.0 - ProductOf(agg.sel_miss_prod, agg.sel_miss_zeros));
-    index_total = pages * cost_->disk().rand_page_ms + agg.sum_idx_const +
-                  static_cast<double>(agg.n) * union_rows * cpu.check_ns *
-                      kNsToMs;
+    index_total =
+        pages * cost_->disk().rand_page_ms + agg.sum_idx_const +
+        cost_->CheckNs(static_cast<double>(agg.n) * union_rows) * kNsToMs;
   }
   return std::min(scan_total, index_total);
 }

@@ -19,11 +19,11 @@
 //     maintained with a zero-factor count so removal never divides by zero.
 //
 // The tracked total mirrors CostModel::MakeClassPlan exactly in structure
-// (same formulas, same scan-vs-all-index choice, same per-member method
-// choice); floating-point accumulation order differs, so totals agree to
-// rounding error, not bit-for-bit — callers doing exact comparisons should
-// re-price final plans with CostModel::MakeClassPlan (as opt/dag_greedy
-// does) and use the tracker only to steer the search.
+// (the same CostModel CPU terms, same scan-vs-all-index choice, same
+// per-member method choice); floating-point accumulation order differs,
+// so totals agree to rounding error, not bit-for-bit — callers doing exact
+// comparisons should re-price final plans with CostModel::MakeClassPlan
+// (as opt/dag_greedy does) and use the tracker only to steer the search.
 
 #ifndef STARSHARE_COST_CLASS_COST_TRACKER_H_
 #define STARSHARE_COST_CLASS_COST_TRACKER_H_

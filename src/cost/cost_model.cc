@@ -11,6 +11,41 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNsToMs = 1e-6;
 }  // namespace
 
+double CostModel::SharedScanNs(double rows, double probes,
+                               double build_entries) const {
+  return rows * (cpu_.tuple_ns + probes * cpu_.probe_ns) +
+         build_entries * cpu_.build_entry_ns;
+}
+
+double CostModel::HashMemberNs(double rows, double match) const {
+  return rows * cpu_.check_ns + match * cpu_.agg_ns;
+}
+
+double CostModel::IndexMemberNs(double check_rows, double cand,
+                                double residual, double match,
+                                double retained) const {
+  return check_rows * cpu_.check_ns + cand * residual * cpu_.probe_ns +
+         match * (retained * cpu_.probe_ns + cpu_.agg_ns);
+}
+
+double CostModel::IndexJoinNs(double cand, double residual, double match,
+                              double retained) const {
+  return cand * (residual * cpu_.probe_ns + cpu_.check_ns) +
+         match * (retained * cpu_.probe_ns + cpu_.agg_ns);
+}
+
+double CostModel::CheckNs(double rows) const { return rows * cpu_.check_ns; }
+
+double CostModel::RidNs(double rows) const { return rows * cpu_.rid_ns; }
+
+double CostModel::BitmapWordsNs(double words) const {
+  return words * cpu_.bitmap_word_ns;
+}
+
+double CostModel::RollupNs(double rows, double lanes) const {
+  return rows * (cpu_.tuple_ns + lanes * cpu_.probe_ns + cpu_.agg_ns);
+}
+
 double YaoDistinctPages(uint64_t pages, double rows) {
   if (pages == 0 || rows <= 0) return 0;
   if (pages == 1) return 1;
@@ -122,9 +157,9 @@ double CostModel::IndexBitmapCpuMs(const DimensionalQuery& query,
     if (view.KeyColForDim(pred.dim) == SIZE_MAX) continue;
     if (view.IndexOn(pred.dim) == nullptr) continue;  // residual predicate
     ++restricted;
-    ns += rows * DimSelectivity(pred, view) * cpu_.rid_ns;  // RID bits
+    ns += RidNs(rows * DimSelectivity(pred, view));
   }
-  ns += static_cast<double>(restricted) * words * cpu_.bitmap_word_ns;  // ANDs
+  ns += BitmapWordsNs(static_cast<double>(restricted) * words);
   return ns * kNsToMs;
 }
 
@@ -235,18 +270,14 @@ double CostModel::SharedScanCpuMs(
     probes += 1;
     build_entries += schema_.dim(d).cardinality(view.StoredLevel(d));
   }
-  const double ns = rows * (cpu_.tuple_ns + probes * cpu_.probe_ns) +
-                    build_entries * cpu_.build_entry_ns;
-  return ns * kNsToMs;
+  return SharedScanNs(rows, probes, build_entries) * kNsToMs;
 }
 
 double CostModel::HashJoinCostMs(const DimensionalQuery& query,
                                  const MaterializedView& view) const {
   const double rows = static_cast<double>(view.table().num_rows());
-  const double nonshared_ns =
-      rows * cpu_.check_ns + MatchRows(query, view) * cpu_.agg_ns;
   return ScanIoMs(view) + SharedScanCpuMs({&query}, view) +
-         nonshared_ns * kNsToMs;
+         HashMemberNs(rows, MatchRows(query, view)) * kNsToMs;
 }
 
 double CostModel::IndexJoinCostMs(const DimensionalQuery& query,
@@ -259,11 +290,9 @@ double CostModel::IndexJoinCostMs(const DimensionalQuery& query,
       static_cast<double>(query.target().RetainedDims(schema_).size());
   const double residual =
       static_cast<double>(ResidualDims(query, view));
-  const double result_ns =
-      cand * (residual * cpu_.probe_ns + cpu_.check_ns) +
-      match * (retained * cpu_.probe_ns + cpu_.agg_ns);
   return IndexLookupIoMs(query, view) + IndexBitmapCpuMs(query, view) +
-         ProbeIoMs(query, view) + result_ns * kNsToMs;
+         ProbeIoMs(query, view) +
+         IndexJoinNs(cand, residual, match, retained) * kNsToMs;
 }
 
 std::pair<JoinMethod, double> CostModel::BestSingleCost(
@@ -300,8 +329,7 @@ void CostModel::ComputeClassEstimates(ClassPlan& cls) const {
       const double retained = static_cast<double>(
           m.query->target().RetainedDims(schema_).size());
       if (m.method == JoinMethod::kHashScan) {
-        m.est_nonshared_cpu_ms =
-            (rows * cpu_.check_ns + match * cpu_.agg_ns) * kNsToMs;
+        m.est_nonshared_cpu_ms = HashMemberNs(rows, match) * kNsToMs;
         m.est_nonshared_io_ms = 0;
       } else {
         // §3.3: probe converted to riding the scan behind a bitmap filter;
@@ -311,9 +339,7 @@ void CostModel::ComputeClassEstimates(ClassPlan& cls) const {
             static_cast<double>(ResidualDims(*m.query, v));
         m.est_nonshared_cpu_ms =
             IndexBitmapCpuMs(*m.query, v) +
-            (rows * cpu_.check_ns + cand * residual * cpu_.probe_ns +
-             match * (retained * cpu_.probe_ns + cpu_.agg_ns)) *
-                kNsToMs;
+            IndexMemberNs(rows, cand, residual, match, retained) * kNsToMs;
         m.est_nonshared_io_ms = IndexLookupIoMs(*m.query, v);
       }
     }
@@ -334,8 +360,7 @@ void CostModel::ComputeClassEstimates(ClassPlan& cls) const {
           m.query->target().RetainedDims(schema_).size());
       m.est_nonshared_cpu_ms =
           IndexBitmapCpuMs(*m.query, v) +
-          (union_rows * cpu_.check_ns + cand * residual * cpu_.probe_ns +
-           match * (retained * cpu_.probe_ns + cpu_.agg_ns)) *
+          IndexMemberNs(union_rows, cand, residual, match, retained) *
               kNsToMs;
       m.est_nonshared_io_ms = IndexLookupIoMs(*m.query, v);
     }
@@ -358,16 +383,14 @@ ClassPlan CostModel::MakeClassPlan(
     const double match = MatchRows(*q, v);
     const double retained =
         static_cast<double>(q->target().RetainedDims(schema_).size());
-    const double hash_incr =
-        (rows * cpu_.check_ns + match * cpu_.agg_ns) * kNsToMs;
+    const double hash_incr = HashMemberNs(rows, match) * kNsToMs;
     double index_incr = kInf;
     if (IndexAvailable(*q, v)) {
       const double cand = rows * CandidateSelectivity(*q, v);
       const double residual = static_cast<double>(ResidualDims(*q, v));
-      index_incr = IndexLookupIoMs(*q, v) + IndexBitmapCpuMs(*q, v) +
-                   (rows * cpu_.check_ns + cand * residual * cpu_.probe_ns +
-                    match * (retained * cpu_.probe_ns + cpu_.agg_ns)) *
-                       kNsToMs;
+      index_incr =
+          IndexLookupIoMs(*q, v) + IndexBitmapCpuMs(*q, v) +
+          IndexMemberNs(rows, cand, residual, match, retained) * kNsToMs;
     }
     LocalPlan lp;
     lp.query = q;
@@ -423,8 +446,7 @@ double CostModel::RollupCpuMs(double parent_rows,
                               const DimensionalQuery& child) const {
   const double lanes =
       static_cast<double>(child.target().RetainedDims(schema_).size());
-  return parent_rows * (cpu_.tuple_ns + lanes * cpu_.probe_ns + cpu_.agg_ns) *
-         1e-6;
+  return RollupNs(parent_rows, lanes) * 1e-6;
 }
 
 }  // namespace starshare

@@ -59,7 +59,36 @@ class CostModel {
       : schema_(schema), disk_(disk), cpu_(cpu) {}
 
   const DiskTimings& disk() const { return disk_; }
-  const CpuCosts& cpu() const { return cpu_; }
+
+  // ---- CPU price terms, in nanoseconds ----------------------------------
+  // Every CpuCosts constant is read in these functions and nowhere else.
+  // The estimates below and ClassCostTracker convert a term to ms at their
+  // own site, so a term's arithmetic grouping is part of every estimate.
+
+  // The shared scan: `rows` tuples streamed, each probing `probes`
+  // dimension hash tables, plus `build_entries` hash entries built.
+  double SharedScanNs(double rows, double probes, double build_entries) const;
+  // A hash member of a shared scan: a check per scanned row and an
+  // aggregation update per match.
+  double HashMemberNs(double rows, double match) const;
+  // An index member's tuple CPU: a check per `check_rows` (the scanned
+  // rows when it rides a scan, the union's rows in an all-index class),
+  // `residual` probes per candidate, and per match `retained` key probes
+  // plus an update.
+  double IndexMemberNs(double check_rows, double cand, double residual,
+                       double match, double retained) const;
+  // A standalone index join's tuple CPU: per candidate `residual` probes
+  // and a check, per match `retained` key probes and an update.
+  double IndexJoinNs(double cand, double residual, double match,
+                     double retained) const;
+  // A check on each of `rows` rows.
+  double CheckNs(double rows) const;
+  // Setting `rows` RID bits, and ANDing `words` bitmap words.
+  double RidNs(double rows) const;
+  double BitmapWordsNs(double words) const;
+  // Re-aggregating `rows` groups: a touch, `lanes` key translations and an
+  // update each.
+  double RollupNs(double rows, double lanes) const;
 
   // ---- Per-(query, view) estimates -------------------------------------
 

@@ -153,60 +153,31 @@ struct ViewBuilder::TargetState {
   std::unique_ptr<MultiAggregator> agg;
   DimTranslator translator;
   std::vector<const std::vector<double>*> measure_cols;
-  std::vector<double> values;
-
-  // Budget state. An unbounded grant (the default) keeps every fold on the
-  // direct in-memory path below, byte-for-byte the pre-budget behaviour.
-  // A bounded grant stages (key, measures...) records instead and spills
-  // sorted runs past the cap; FinishFolds() replays everything into `agg`
-  // in per-cell arrival order, so the emitted table is bit-identical.
-  // `degraded` is set when a spill write fails: the target abandons
-  // spilling and completes in memory (already-written runs still merge at
-  // finish).
-  MemoryGrant grant;
-  SpillConfig spill_config;
-  std::unique_ptr<SpillFile> spill;
-  std::vector<uint64_t> staged_keys;
-  std::vector<double> staged_values;  // measure-cols per record, interleaved
-  uint64_t staged_peak_bytes = 0;
-  uint64_t spill_runs = 0;   // captured by FinishFolds for the plan node
-  uint64_t spill_bytes = 0;
-  bool degraded = false;
-
-  bool budgeted() const { return !grant.unbounded && !degraded; }
-
-  uint64_t StagedBytes() const {
-    return (staged_keys.size() + staged_values.size()) * 8;
-  }
-
-  // One fold, either path. `vals` holds this row's measures.
-  void Fold(uint64_t key, const double* vals) {
-    if (!budgeted()) {
-      agg->Add(key, vals);
-      return;
-    }
-    staged_keys.push_back(key);
-    staged_values.insert(staged_values.end(), vals,
-                         vals + measure_cols.size());
-    staged_peak_bytes = std::max(staged_peak_bytes, StagedBytes());
-    if (grant.WouldExceed(StagedBytes())) FlushRun();
-  }
+  // Set by a bounded grant: rows stage (and spill) here in arrival order,
+  // and ReplayStage() folds them into `agg` before Emit, per cell in the
+  // same order, so the emitted table is bit-identical. Null (the default)
+  // keeps every fold on the direct in-memory path.
+  std::unique_ptr<SpillStage> stage;
+  std::vector<double> values;  // one batch's measures, row-major
 
   // Batch fold of rows [base_row, base_row + n) whose packed keys are
-  // `keys`. Unbudgeted this is MultiAggregator::AddBatch; budgeted it
-  // stages row-by-row (same arrival order either way).
+  // `keys`: MultiAggregator::AddBatch, or the rows staged in the same
+  // order.
   void FoldBatch(const uint64_t* keys, size_t n, uint64_t base_row) {
-    if (!budgeted()) {
+    if (stage == nullptr) {
       agg->AddBatch(keys, n, measure_cols, base_row);
       return;
     }
+    const size_t m = measure_cols.size();
+    values.resize(n * m);
     for (size_t i = 0; i < n; ++i) {
-      const uint64_t row = base_row + i;
-      for (size_t m = 0; m < measure_cols.size(); ++m) {
-        values[m] = (*measure_cols[m])[row];
+      for (size_t j = 0; j < m; ++j) {
+        values[i * m + j] = (*measure_cols[j])[base_row + i];
       }
-      Fold(keys[i], values.data());
     }
+    // A failed spill write keeps the rows staged and ends spilling: the
+    // target completes in memory (a build has no member status to fail).
+    stage->Append(keys, values.data(), n);
   }
 
   // Batch form over the contiguous rows [begin, end), with caller-owned key
@@ -219,69 +190,17 @@ struct ViewBuilder::TargetState {
     FoldBatch(keys.data(), n, begin);
   }
 
-  // Sorts the staged records by key (stable, preserving arrival order
-  // within a key) and appends them as one run. A write failure flips the
-  // target to `degraded`: the staged rows fold straight into the
-  // aggregator and all later folds bypass staging.
-  void FlushRun() {
-    if (staged_keys.empty()) return;
-    const size_t m = measure_cols.size();
-    if (spill == nullptr) {
-      spill = std::make_unique<SpillFile>(spill_config, /*query_id=*/-1, m);
-    }
-    std::vector<uint32_t> perm(staged_keys.size());
-    for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<uint32_t>(i);
-    std::stable_sort(perm.begin(), perm.end(),
-                     [this](uint32_t a, uint32_t b) {
-                       return staged_keys[a] < staged_keys[b];
-                     });
-    std::vector<uint64_t> sorted_keys(staged_keys.size());
-    std::vector<double> sorted_values(staged_values.size());
-    for (size_t i = 0; i < perm.size(); ++i) {
-      sorted_keys[i] = staged_keys[perm[i]];
-      for (size_t j = 0; j < m; ++j) {
-        sorted_values[i * m + j] = staged_values[perm[i] * m + j];
-      }
-    }
-    const Status written = spill->AppendRun(
-        sorted_keys.data(), sorted_values.data(), sorted_keys.size());
-    if (!written.ok()) {
-      degraded = true;
-      for (size_t i = 0; i < staged_keys.size(); ++i) {
-        agg->Add(staged_keys[i], staged_values.data() + i * m);
-      }
-    }
-    staged_keys.clear();
-    staged_keys.shrink_to_fit();
-    staged_values.clear();
-    staged_values.shrink_to_fit();
-  }
-
-  // Replays every staged/spilled record into the aggregator. Must run
-  // before Emit. With runs on disk the ordered merge feeds each cell's
-  // folds in arrival order; without, the staged buffer already is arrival
-  // order. A merge read failure (torn scratch file) is fatal — the rows
-  // exist nowhere else.
-  void FinishFolds() {
-    if (spill == nullptr || spill->empty()) {
-      const size_t m = measure_cols.size();
-      for (size_t i = 0; i < staged_keys.size(); ++i) {
-        agg->Add(staged_keys[i], staged_values.data() + i * m);
-      }
-      staged_keys.clear();
-      staged_values.clear();
-      return;
-    }
-    if (!degraded) FlushRun();  // tail (may itself degrade; runs still merge)
-    spill_runs = spill->num_runs();
-    spill_bytes = spill->spilled_bytes();
-    const Status merged = spill->Merge(
-        grant.cap_bytes, [this](uint64_t key, const double* vals) {
+  // Folds a budgeted target's records into the aggregator; must run before
+  // Emit. A spill read failure (torn scratch file) is fatal: the rows exist
+  // nowhere else.
+  void ReplayStage() {
+    if (stage == nullptr) return;
+    const Status replayed =
+        stage->Replay([this](uint64_t key, const double* vals) {
           agg->Add(key, vals);
         });
-    SS_CHECK_MSG(merged.ok(), "view build spill merge failed: %s",
-                 merged.ToString().c_str());
-    spill.reset();
+    SS_CHECK_MSG(replayed.ok(), "view build spill merge failed: %s",
+                 replayed.ToString().c_str());
   }
 };
 
@@ -298,7 +217,6 @@ ViewBuilder::TargetState ViewBuilder::MakeTargetState(
   for (size_t m = 0; m < num_measures; ++m) {
     state.measure_cols.push_back(&source.table().measure_column(m));
   }
-  state.values.resize(num_measures);
   return state;
 }
 
@@ -308,9 +226,11 @@ void ViewBuilder::RecordBuildMem(const std::vector<TargetState>& states,
   uint64_t runs = 0;
   uint64_t bytes = 0;
   for (const TargetState& state : states) {
-    mem.hash_bytes += state.agg->MemoryBytes() + state.staged_peak_bytes;
-    runs += state.spill_runs;
-    bytes += state.spill_bytes;
+    mem.hash_bytes += state.agg->MemoryBytes();
+    if (state.stage == nullptr) continue;
+    mem.hash_bytes += state.stage->peak_staged_bytes();
+    runs += state.stage->spill_runs();
+    bytes += state.stage->spill_bytes();
   }
   agg.RecordMem(mem);
   if (runs > 0) {
@@ -324,8 +244,8 @@ void ViewBuilder::GrantBudget(TargetState& state, uint64_t consumers) const {
   // View builds have no query id; -1 keys their grant/spill fault sites.
   Result<MemoryGrant> grant = budget_->Grant(/*query_id=*/-1, consumers);
   if (!grant.ok()) return;  // denied: this target completes in memory
-  state.grant = grant.value();
-  state.spill_config = spill_;
+  state.stage = std::make_unique<SpillStage>(*grant, spill_, /*query_id=*/-1,
+                                             state.measure_cols.size());
 }
 
 std::unique_ptr<Table> ViewBuilder::Emit(const MultiAggregator& agg,
@@ -594,13 +514,10 @@ std::vector<std::unique_ptr<Table>> ViewBuilder::Build(
         // consumer (cheap, and already charged by the worker's page scan).
         const size_t workers =
             std::min(policy_.parallelism, policy_.pool->num_threads());
-        const uint64_t morsel_rows =
-            policy_.morsel_rows > 0
-                ? policy_.morsel_rows
-                : MorselDispatcher::DefaultMorselRows(
-                      table.num_rows(), table.rows_per_page(), workers);
-        MorselDispatcher dispatcher(table.num_rows(), morsel_rows,
-                                    /*window=*/4 * workers);
+        MorselDispatcher dispatcher(
+            table.num_rows(),
+            policy_.EffectiveMorselRows(table.rows_per_page()),
+            /*window=*/4 * workers);
         ParallelContext ctx(disk, workers);
         scan.AddRows(table.num_rows());
         struct KeyBuffer {
@@ -647,7 +564,7 @@ std::vector<std::unique_ptr<Table>> ViewBuilder::Build(
     }
     uint64_t cells = 0;
     for (size_t i = 0; i < targets.size(); ++i) {
-      states[i].FinishFolds();
+      states[i].ReplayStage();
       tables.push_back(
           Emit(*states[i].agg, targets[i], table, disk, clustered));
       cells += tables.back()->num_rows();

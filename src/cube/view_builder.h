@@ -75,12 +75,13 @@ class ViewBuilder {
 
   // Aggregation memory budget for builds (null or unbounded = the legacy
   // in-memory path, byte-for-byte). A bounded budget is split evenly across
-  // the targets of one build pass; a target past its share stages rows and
-  // spills sorted runs (exec/spill.h), merging them back before Emit — the
-  // emitted tables are bit-identical to the unbudgeted build because Emit
-  // orders cells by key, and the merge replays each cell's folds in arrival
-  // order. A failed spill write degrades that target to in-memory
-  // completion (builds have no per-query status channel to surface
+  // the targets of one build pass; each target stages its rows in a
+  // SpillStage (exec/spill.h) that spills sorted runs past its share and
+  // replays them before Emit. The emitted tables are bit-identical to the
+  // unbudgeted build because Emit orders cells by key, and the replay
+  // folds each cell in arrival order. After a failed spill write a target
+  // keeps staging in memory and spills nothing more; its replay is still in
+  // arrival order (builds have no per-query status channel to surface
   // kResourceExhausted through). Refresh takes no grant: its working state
   // is O(delta) beside the old and new tables. The pointer must outlive the
   // builder's use.

@@ -1,100 +1,42 @@
 #include "exec/operators/aggregate_sink.h"
 
-#include <algorithm>
-#include <numeric>
-#include <utility>
-
 namespace starshare {
 
 void AggregateSink::SetGrant(size_t slot, const MemoryGrant& grant,
                              const SpillConfig& config, int query_id) {
   SS_DCHECK(slot < slots_.size());
   if (grant.unbounded) return;
-  SlotState& s = slots_[slot];
-  s.grant = grant;
-  s.query_id = query_id;
-  s.config = config;
+  slots_[slot].stage = std::make_unique<SpillStage>(grant, config, query_id,
+                                                    /*doubles_per_record=*/1);
 }
 
 void AggregateSink::Consume(const std::vector<QueryMatchBatch>& slots) {
   SS_DCHECK(slots.size() == bound_.size());
-  uint64_t staged_now = 0;
   for (size_t slot = 0; slot < bound_.size(); ++slot) {
     SlotState& s = slots_[slot];
-    if (s.grant.unbounded) {
+    if (s.stage == nullptr) {
       bound_[slot].AccumulateRawBatch(slots[slot].keys.data(),
                                       slots[slot].values.data(),
                                       slots[slot].size());
       continue;
     }
     if (!s.status.ok()) continue;  // sticky-failed: drop the stream
-    s.keys.insert(s.keys.end(), slots[slot].keys.begin(),
-                  slots[slot].keys.end());
-    s.values.insert(s.values.end(), slots[slot].values.begin(),
-                    slots[slot].values.end());
-    staged_now += StagedBytes(s);
-    if (s.grant.WouldExceed(StagedBytes(s))) {
-      const Status flushed = FlushRun(s);
-      if (!flushed.ok()) {
-        s.status = flushed;
-        s.keys.clear();
-        s.keys.shrink_to_fit();
-        s.values.clear();
-        s.values.shrink_to_fit();
-      }
-    }
+    s.status = s.stage->Append(slots[slot].keys.data(),
+                               slots[slot].values.data(), slots[slot].size());
   }
-  staged_peak_bytes_ = std::max(staged_peak_bytes_, staged_now);
-}
-
-Status AggregateSink::FlushRun(SlotState& s) {
-  if (s.keys.empty()) return Status::Ok();
-  if (s.spill == nullptr) {
-    s.spill = std::make_unique<SpillFile>(s.config, s.query_id,
-                                          /*doubles_per_record=*/1);
-  }
-  // Stable sort by key: equal keys keep arrival order within the run, the
-  // invariant the merge's (key, run index) order relies on.
-  std::vector<uint32_t> order(s.keys.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&s](uint32_t a, uint32_t b) {
-                     return s.keys[a] < s.keys[b];
-                   });
-  std::vector<uint64_t> sorted_keys(s.keys.size());
-  std::vector<double> sorted_values(s.values.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    sorted_keys[i] = s.keys[order[i]];
-    sorted_values[i] = s.values[order[i]];
-  }
-  SS_RETURN_IF_ERROR(s.spill->AppendRun(sorted_keys.data(),
-                                        sorted_values.data(),
-                                        sorted_keys.size()));
-  s.keys.clear();
-  s.values.clear();
-  return Status::Ok();
 }
 
 Result<QueryResult> AggregateSink::FinishSlot(size_t slot) {
   SS_DCHECK(slot < slots_.size());
   SlotState& s = slots_[slot];
   if (!s.status.ok()) return s.status;
-  if (s.spill == nullptr || s.spill->empty()) {
-    // Nothing ever spilled: fold the stage (if any) in arrival order —
-    // exactly the sequence the unbudgeted path folded as it consumed.
-    bound_[slot].AccumulateRawBatch(s.keys.data(), s.values.data(),
-                                    s.keys.size());
-  } else {
-    SS_RETURN_IF_ERROR(FlushRun(s));  // tail stage becomes the last run
+  if (s.stage != nullptr) {
     BoundQuery& member = bound_[slot];
-    SS_RETURN_IF_ERROR(s.spill->Merge(
-        s.grant.cap_bytes,
-        [&member](uint64_t key, const double* values) {
+    SS_RETURN_IF_ERROR(
+        s.stage->Replay([&member](uint64_t key, const double* values) {
           member.AccumulateRaw(key, values[0]);
         }));
   }
-  s.keys.clear();
-  s.values.clear();
   return bound_[slot].Finish();
 }
 
@@ -104,20 +46,25 @@ uint64_t AggregateSink::agg_table_bytes() const {
   return total;
 }
 
-uint64_t AggregateSink::spill_runs() const {
+uint64_t AggregateSink::SumOverStages(
+    uint64_t (SpillStage::*counter)() const) const {
   uint64_t total = 0;
   for (const SlotState& s : slots_) {
-    if (s.spill != nullptr) total += s.spill->num_runs();
+    if (s.stage != nullptr) total += (*s.stage.*counter)();
   }
   return total;
 }
 
+uint64_t AggregateSink::staged_peak_bytes() const {
+  return SumOverStages(&SpillStage::peak_staged_bytes);
+}
+
+uint64_t AggregateSink::spill_runs() const {
+  return SumOverStages(&SpillStage::spill_runs);
+}
+
 uint64_t AggregateSink::spill_bytes() const {
-  uint64_t total = 0;
-  for (const SlotState& s : slots_) {
-    if (s.spill != nullptr) total += s.spill->spilled_bytes();
-  }
-  return total;
+  return SumOverStages(&SpillStage::spill_bytes);
 }
 
 }  // namespace starshare

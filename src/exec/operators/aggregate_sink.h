@@ -4,21 +4,19 @@
 // — the morsel driver buffers worker matches and consumes them in morsel
 // order, so every aggregator folds in the exact serial sequence.
 //
-// Budget mode (exec/memory_budget.h): a slot given a bounded grant stages
-// its raw (key, value) records in arrival order instead of folding them
-// immediately; when the staged bytes exceed the grant the stage is
-// stable-sorted by key and appended to the slot's spill file
-// (exec/spill.h). FinishSlot() replays the spilled stream — per key, in
-// arrival order — through the very same HashAggregator fold, so a budgeted
-// execution's results are bit-identical to the unbudgeted ones at any
-// thread count, batch size and budget. Spill I/O is real scratch-file I/O,
-// never charged to the DiskModel: modeled IoStats are unchanged by
-// budgeting, and spill volume is reported separately (spill_runs /
-// spill_bytes).
+// Budget mode (exec/memory_budget.h): a slot given a bounded grant hands
+// its raw (key, value) records to a SpillStage (exec/spill.h) instead of
+// folding them immediately; the stage spills stable-sorted runs past the
+// grant, and FinishSlot() replays every record (per key, in arrival order)
+// through the very same HashAggregator fold, so a budgeted execution's
+// results are bit-identical to the unbudgeted ones at any thread count,
+// batch size and budget. Spill I/O is real scratch-file I/O, never charged
+// to the DiskModel: modeled IoStats are unchanged by budgeting, and spill
+// volume is reported separately (spill_runs / spill_bytes).
 //
-// A slot whose spill fails is sticky-failed (kResourceExhausted) without
-// touching its siblings; the failure surfaces from FinishSlot so the
-// engine's per-member fallback ladder can degrade exactly that member.
+// A slot whose spill write fails is sticky-failed (kResourceExhausted)
+// without touching its siblings; the failure surfaces from FinishSlot so
+// the engine's per-member fallback ladder can degrade exactly that member.
 
 #ifndef STARSHARE_EXEC_OPERATORS_AGGREGATE_SINK_H_
 #define STARSHARE_EXEC_OPERATORS_AGGREGATE_SINK_H_
@@ -48,14 +46,14 @@ class AggregateSink {
 
   void Consume(const std::vector<QueryMatchBatch>& slots);
 
-  // Finalizes one slot: folds any staged/spilled records (merge replay) and
-  // finishes the bound aggregation. Returns the slot's sticky spill failure
-  // instead, if it has one.
+  // Finalizes one slot: replays a budgeted slot's records and finishes the
+  // bound aggregation. Returns the slot's sticky spill failure instead, if
+  // it has one.
   Result<QueryResult> FinishSlot(size_t slot);
 
-  // High-water accounting across every Consume so far: staged spill buffers
-  // plus the aggregation tables (both land in MemStats::hash_bytes).
-  uint64_t staged_peak_bytes() const { return staged_peak_bytes_; }
+  // Accounting across every Consume so far: the slots' staged high-waters
+  // summed, and the aggregation tables (both land in MemStats::hash_bytes).
+  uint64_t staged_peak_bytes() const;
   uint64_t agg_table_bytes() const;
 
   // Totals across slots, for the aggregate node's spill counters.
@@ -64,26 +62,15 @@ class AggregateSink {
 
  private:
   struct SlotState {
-    MemoryGrant grant;  // unbounded by default
-    int query_id = -1;
-    SpillConfig config;
-    // Arrival-order stage; flushed as one stable-sorted run on overflow.
-    std::vector<uint64_t> keys;
-    std::vector<double> values;
-    std::unique_ptr<SpillFile> spill;
-    Status status;  // sticky first spill failure
+    std::unique_ptr<SpillStage> stage;  // null: unbounded, direct fold
+    Status status;                      // sticky first spill failure
   };
 
-  uint64_t StagedBytes(const SlotState& s) const {
-    return (s.keys.size() + s.values.size()) * 8;
-  }
-
-  // Stable-sorts the stage by key and appends it as one run.
-  Status FlushRun(SlotState& s);
+  // Sums `counter` over the budgeted slots.
+  uint64_t SumOverStages(uint64_t (SpillStage::*counter)() const) const;
 
   std::vector<BoundQuery>& bound_;
   std::vector<SlotState> slots_;
-  uint64_t staged_peak_bytes_ = 0;
 };
 
 }  // namespace starshare

@@ -29,12 +29,16 @@ size_t EffectiveWorkers(const ParallelPolicy& policy) {
   return std::min(policy.parallelism, policy.pool->num_threads());
 }
 
-uint64_t MorselRowsFor(const ParallelPolicy& policy, uint64_t num_rows,
-                       uint64_t rows_per_page, size_t workers) {
-  if (policy.morsel_rows > 0) return policy.morsel_rows;
-  return MorselDispatcher::DefaultMorselRows(num_rows, rows_per_page,
-                                             workers);
-}
+// A member that survived its private phase.
+struct LiveMember {
+  const DimensionalQuery* query = nullptr;
+  size_t out_slot = 0;  // index into SharedOutcome's results and statuses
+  MemoryGrant grant;    // unbounded unless the request carries a budget
+  // Index members only: the candidate bitmap and the predicates left to
+  // check on each candidate row.
+  Bitmap bitmap;
+  std::vector<const DimPredicate*> residual;
+};
 
 // One morsel's worth of per-slot match streams, each in ascending row
 // order. Concatenating buffers in morsel order replays the serial
@@ -100,103 +104,74 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
   // Per-member private phases, on the calling thread and the parent
   // DiskModel. A member failing here drops out; the shared pass runs with
   // the survivors.
-  std::vector<const DimensionalQuery*> live_hash;
-  std::vector<size_t> live_hash_slots;
+  std::vector<LiveMember> live;  // hash members, then index members
   for (size_t i = 0; i < hash_queries.size(); ++i) {
     Status s = MemberBindFault(*hash_queries[i]);
     if (!s.ok()) {
       out.statuses[i] = std::move(s);
       continue;
     }
-    live_hash.push_back(hash_queries[i]);
-    live_hash_slots.push_back(i);
+    live.emplace_back();
+    live.back().query = hash_queries[i];
+    live.back().out_slot = i;
   }
-
-  std::vector<const DimensionalQuery*> live_index;
-  std::vector<size_t> live_index_slots;
-  std::vector<Bitmap> index_bitmaps;
-  std::vector<std::vector<const DimPredicate*>> index_residual_preds;
+  size_t n_live_hash = live.size();
   for (size_t i = 0; i < index_queries.size(); ++i) {
-    const size_t slot = n_hash + i;
-    Status s = MemberBindFault(*index_queries[i]);
+    LiveMember member;
+    member.query = index_queries[i];
+    member.out_slot = n_hash + i;
+    Status s = MemberBindFault(*member.query);
     if (s.ok()) {
-      Bitmap bitmap;
-      std::vector<const DimPredicate*> residual;
-      s = BuildMemberBitmap(schema, *index_queries[i], view, disk, &bitmap,
-                            &residual);
-      if (s.ok()) {
-        live_index.push_back(index_queries[i]);
-        live_index_slots.push_back(slot);
-        index_bitmaps.push_back(std::move(bitmap));
-        index_residual_preds.push_back(std::move(residual));
-        continue;
-      }
+      s = BuildMemberBitmap(schema, *member.query, view, disk, &member.bitmap,
+                            &member.residual);
     }
-    out.statuses[slot] = std::move(s);
+    if (!s.ok()) {
+      out.statuses[member.out_slot] = std::move(s);
+      continue;
+    }
+    live.push_back(std::move(member));
   }
-
-  if (live_hash.empty() && live_index.empty()) return out;  // nothing left
 
   // Memory grants: an even split of the budget across the members still
   // live. A denied grant ("budget.grant" fault) demotes exactly that member
   // — before any shared work — leaving its slot kResourceExhausted for the
   // engine's fallback ladder. Grants are ceilings the sink enforces by
   // spilling, so a zero share is legal (every batch spills).
-  std::vector<MemoryGrant> hash_grants(live_hash.size());
-  std::vector<MemoryGrant> index_grants(live_index.size());
   if (req.budget != nullptr) {
-    const uint64_t n_live_total = live_hash.size() + live_index.size();
+    const uint64_t consumers = live.size();
     size_t kept = 0;
-    for (size_t i = 0; i < live_hash.size(); ++i) {
+    size_t kept_hash = 0;
+    for (size_t i = 0; i < live.size(); ++i) {
       Result<MemoryGrant> grant =
-          req.budget->Grant(live_hash[i]->id(), n_live_total);
+          req.budget->Grant(live[i].query->id(), consumers);
       if (!grant.ok()) {
-        out.statuses[live_hash_slots[i]] = grant.status();
+        out.statuses[live[i].out_slot] = grant.status();
         continue;
       }
-      live_hash[kept] = live_hash[i];
-      live_hash_slots[kept] = live_hash_slots[i];
-      hash_grants[kept] = *grant;
+      live[i].grant = *grant;
+      if (i < n_live_hash) ++kept_hash;
+      if (kept != i) live[kept] = std::move(live[i]);
       ++kept;
     }
-    live_hash.resize(kept);
-    live_hash_slots.resize(kept);
-    hash_grants.resize(kept);
-    kept = 0;
-    for (size_t i = 0; i < live_index.size(); ++i) {
-      Result<MemoryGrant> grant =
-          req.budget->Grant(live_index[i]->id(), n_live_total);
-      if (!grant.ok()) {
-        out.statuses[live_index_slots[i]] = grant.status();
-        continue;
-      }
-      live_index[kept] = live_index[i];
-      live_index_slots[kept] = live_index_slots[i];
-      index_grants[kept] = *grant;
-      if (kept != i) {
-        index_bitmaps[kept] = std::move(index_bitmaps[i]);
-        index_residual_preds[kept] = std::move(index_residual_preds[i]);
-      }
-      ++kept;
-    }
-    live_index.resize(kept);
-    live_index_slots.resize(kept);
-    index_grants.resize(kept);
-    index_bitmaps.resize(kept);
-    index_residual_preds.resize(kept);
-    if (live_hash.empty() && live_index.empty()) return out;
+    live.resize(kept);
+    n_live_hash = kept_hash;
   }
+  if (live.empty()) return out;  // nothing left
 
-  std::vector<BoundQuery> bound;  // live hash members, then live index
-  bound.reserve(live_hash.size() + live_index.size());
-  for (const auto* q : live_hash) bound.emplace_back(schema, *q, view);
+  std::vector<BoundQuery> bound;  // one per live member, in slot order
+  bound.reserve(live.size());
+  std::vector<const DimensionalQuery*> live_hash;
+  std::vector<Bitmap> index_bitmaps;
   std::vector<ResidualFilter> index_residuals;
-  index_residuals.reserve(live_index.size());
-  for (size_t i = 0; i < live_index.size(); ++i) {
-    bound.emplace_back(schema, *live_index[i], view);
-    index_residuals.emplace_back(schema, view, index_residual_preds[i]);
+  for (size_t i = 0; i < live.size(); ++i) {
+    bound.emplace_back(schema, *live[i].query, view);
+    if (i < n_live_hash) {
+      live_hash.push_back(live[i].query);
+    } else {
+      index_bitmaps.push_back(std::move(live[i].bitmap));
+      index_residuals.emplace_back(schema, view, live[i].residual);
+    }
   }
-  const size_t n_live_hash = live_hash.size();
   const size_t n_live = bound.size();
 
   // §3.2 step 1: OR the per-member result bitmaps; the union's positions
@@ -278,12 +253,8 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
   };
 
   AggregateSink sink(bound);
-  for (size_t i = 0; i < hash_grants.size(); ++i) {
-    sink.SetGrant(i, hash_grants[i], req.spill, live_hash[i]->id());
-  }
-  for (size_t i = 0; i < index_grants.size(); ++i) {
-    sink.SetGrant(n_live_hash + i, index_grants[i], req.spill,
-                  live_index[i]->id());
+  for (size_t i = 0; i < n_live; ++i) {
+    sink.SetGrant(i, live[i].grant, req.spill, live[i].query->id());
   }
 
   // High-water of the per-member match buffers feeding the sink, summed
@@ -346,10 +317,10 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
       const size_t workers = EffectiveWorkers(req.policy);
       ParallelContext ctx(disk, workers);
       if (!req.probe) {
-        const uint64_t morsel_rows = MorselRowsFor(
-            req.policy, table.num_rows(), table.rows_per_page(), workers);
-        MorselDispatcher dispatcher(table.num_rows(), morsel_rows,
-                                    /*window=*/4 * workers);
+        MorselDispatcher dispatcher(
+            table.num_rows(),
+            req.policy.EffectiveMorselRows(table.rows_per_page()),
+            /*window=*/4 * workers);
         RunMorselPipeline<MorselMatches>(
             req.policy.pool, workers, dispatcher, ctx,
             [&](const Morsel& morsel, DiskModel& wdisk,
@@ -383,14 +354,8 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
           }
           return i;
         };
-        uint64_t chunk = req.policy.morsel_rows;
-        if (chunk == 0) {
-          chunk = std::max<uint64_t>(
-              rpp, positions.size() /
-                       std::max<uint64_t>(
-                           1, workers * MorselDispatcher::kMorselsPerWorker));
-        }
-        MorselDispatcher dispatcher(positions.size(), chunk,
+        MorselDispatcher dispatcher(positions.size(),
+                                    req.policy.EffectiveMorselRows(rpp),
                                     /*window=*/4 * workers);
         RunMorselPipeline<MorselMatches>(
             req.policy.pool, workers, dispatcher, ctx,
@@ -456,8 +421,9 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
   // (more precise) statuses.
   const Status pass_fault = disk.TakeFault();
   if (!pass_fault.ok()) {
-    for (size_t slot : live_hash_slots) out.statuses[slot] = pass_fault;
-    for (size_t slot : live_index_slots) out.statuses[slot] = pass_fault;
+    for (const LiveMember& member : live) {
+      out.statuses[member.out_slot] = pass_fault;
+    }
     agg.SetStatus(pass_fault);
     return out;
   }
@@ -466,20 +432,14 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
   // whose spill failed surfaces kResourceExhausted for exactly that member;
   // its siblings finish normally.
   uint64_t result_rows = 0;
-  const auto finish_member = [&](size_t slot, size_t out_slot) {
-    Result<QueryResult> result = sink.FinishSlot(slot);
+  for (size_t i = 0; i < n_live; ++i) {
+    Result<QueryResult> result = sink.FinishSlot(i);
     if (!result.ok()) {
-      out.statuses[out_slot] = result.status();
-      return;
+      out.statuses[live[i].out_slot] = result.status();
+      continue;
     }
     result_rows += result->num_rows();
-    out.results[out_slot] = std::move(*result);
-  };
-  for (size_t i = 0; i < live_hash_slots.size(); ++i) {
-    finish_member(i, live_hash_slots[i]);
-  }
-  for (size_t i = 0; i < live_index_slots.size(); ++i) {
-    finish_member(n_live_hash + i, live_index_slots[i]);
+    out.results[live[i].out_slot] = std::move(*result);
   }
   agg.AddRows(result_rows);
   // The final aggregation tables (and any spill) exist only after the

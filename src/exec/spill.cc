@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <queue>
 #include <utility>
 
@@ -44,9 +45,7 @@ std::string DefaultScratchDir() {
 
 SpillFile::SpillFile(const SpillConfig& config, int query_id,
                      size_t doubles_per_record)
-    : query_id_(query_id),
-      doubles_(doubles_per_record),
-      packed_(config.packed_keys) {
+    : query_id_(query_id), doubles_(doubles_per_record) {
   const std::string dir =
       config.scratch_dir.empty() ? DefaultScratchDir() : config.scratch_dir;
   path_ = StrFormat(
@@ -80,56 +79,6 @@ Status SpillFile::AppendRun(const uint64_t* keys, const double* values,
     return SpillError("write (injected)", path_);
   }
   SS_RETURN_IF_ERROR(OpenAndSeek(end_offset_, "seek"));
-  return packed_ ? AppendRunPacked(keys, values, rows)
-                 : AppendRunInterleaved(keys, values, rows);
-}
-
-Status SpillFile::AppendRunInterleaved(const uint64_t* keys,
-                                       const double* values, uint64_t rows) {
-  if (std::fwrite(&rows, 1, 8, file_) != 8) return SpillError("write", path_);
-
-  // Interleave (key, m doubles) records through a bounded scratch buffer so
-  // one run is a handful of fwrites, not one per record.
-  Crc32Accumulator crc;
-  const size_t rec = record_size();
-  std::vector<uint8_t> chunk;
-  chunk.reserve(std::min<uint64_t>(rows, 1024) * rec);
-  uint64_t row = 0;
-  while (row < rows) {
-    const uint64_t n = std::min<uint64_t>(rows - row, 1024);
-    chunk.resize(static_cast<size_t>(n) * rec);
-    uint8_t* out = chunk.data();
-    for (uint64_t i = 0; i < n; ++i) {
-      std::memcpy(out, &keys[row + i], 8);
-      std::memcpy(out + 8, &values[(row + i) * doubles_], 8 * doubles_);
-      out += rec;
-    }
-    crc.Update(chunk.data(), chunk.size());
-    if (std::fwrite(chunk.data(), 1, chunk.size(), file_) != chunk.size()) {
-      return SpillError("write", path_);
-    }
-    row += n;
-  }
-  const uint32_t checksum = crc.value();
-  if (std::fwrite(&checksum, 1, 4, file_) != 4) {
-    return SpillError("write", path_);
-  }
-
-  RunInfo info;
-  info.payload_offset = end_offset_ + 8;
-  info.rows = rows;
-  runs_.push_back(info);
-  const uint64_t run_bytes = 8 + rows * rec + 4;
-  end_offset_ += run_bytes;
-  spilled_rows_ += rows;
-  spilled_bytes_ += run_bytes;
-  RunCounter().Add();
-  ByteCounter().Add(run_bytes);
-  return Status::Ok();
-}
-
-Status SpillFile::AppendRunPacked(const uint64_t* keys, const double* values,
-                                  uint64_t rows) {
   // Keys arrive sorted ascending, so the first key is the frame of
   // reference and the last key bounds the delta domain.
   const uint64_t ref = rows > 0 ? keys[0] : 0;
@@ -186,116 +135,13 @@ Status SpillFile::Merge(
     const std::function<void(uint64_t, const double*)>& emit) {
   if (runs_.empty()) return Status::Ok();
   if (std::fflush(file_) != 0) return SpillError("flush", path_);
-  return packed_ ? MergePacked(chunk_budget_bytes, emit)
-                 : MergeInterleaved(chunk_budget_bytes, emit);
-}
-
-Status SpillFile::MergeInterleaved(
-    uint64_t chunk_budget_bytes,
-    const std::function<void(uint64_t, const double*)>& emit) {
-  const size_t rec = record_size();
-  // Bound total read-buffer bytes by the budget: with R runs each buffer
-  // holds budget/(rec*R) records, floored at 1 (a 1-byte budget still
-  // merges, one record at a time) and capped at 1024.
-  const uint64_t chunk_rows = std::clamp<uint64_t>(
-      chunk_budget_bytes / (rec * runs_.size()), 1, 1024);
-
-  struct Cursor {
-    uint64_t next_offset = 0;  // next unread payload byte
-    uint64_t rows_left = 0;    // rows not yet read into the buffer
-    Crc32Accumulator crc;
-    std::vector<uint8_t> buffer;
-    size_t buffer_pos = 0;  // byte position of the current record
-  };
-  std::vector<Cursor> cursors(runs_.size());
-
-  // Reads the next chunk of run `r`; validates the run CRC when the last
-  // chunk comes in. Bit-flip faults land in the buffer before checksumming.
-  const auto refill = [&](size_t r) -> Status {
-    Cursor& cur = cursors[r];
-    const std::optional<FaultKind> fault = FaultHit("spill.read", query_id_);
-    if (fault == FaultKind::kError) {
-      return SpillError("read (injected)", path_);
-    }
-    const uint64_t n = std::min(cur.rows_left, chunk_rows);
-    cur.buffer.resize(static_cast<size_t>(n) * rec);
-    cur.buffer_pos = 0;
-    if (std::fseek(file_, static_cast<long>(cur.next_offset), SEEK_SET) != 0) {
-      return SpillError("seek", path_);
-    }
-    size_t want = cur.buffer.size();
-    if (fault == FaultKind::kShortRead && want > 0) {
-      std::fread(cur.buffer.data(), 1, want - 1, file_);
-      return SpillError("short read (injected)", path_);
-    }
-    if (std::fread(cur.buffer.data(), 1, want, file_) != want) {
-      return SpillError("read", path_);
-    }
-    if (fault == FaultKind::kBitFlip && want > 0) {
-      const uint64_t bit = FaultInjector::Instance().NextBitIndex(want);
-      cur.buffer[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-    }
-    cur.crc.Update(cur.buffer.data(), want);
-    cur.next_offset += want;
-    cur.rows_left -= n;
-    if (cur.rows_left == 0) {
-      uint32_t stored = 0;
-      if (std::fseek(file_, static_cast<long>(cur.next_offset), SEEK_SET) !=
-              0 ||
-          std::fread(&stored, 1, 4, file_) != 4) {
-        return SpillError("read", path_);
-      }
-      if (stored != cur.crc.value()) {
-        return SpillError("checksum", path_);
-      }
-    }
-    return Status::Ok();
-  };
-
-  // Min-heap over (key, run index): equal keys drain lower-numbered (older)
-  // runs first, and within a run the buffer replays file order — together,
-  // arrival order per key.
-  using Entry = std::pair<uint64_t, size_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  const auto current_key = [&](size_t r) {
-    uint64_t key = 0;
-    std::memcpy(&key, cursors[r].buffer.data() + cursors[r].buffer_pos, 8);
-    return key;
-  };
-  for (size_t r = 0; r < runs_.size(); ++r) {
-    cursors[r].next_offset = runs_[r].payload_offset;
-    cursors[r].rows_left = runs_[r].rows;
-    if (runs_[r].rows == 0) continue;
-    SS_RETURN_IF_ERROR(refill(r));
-    heap.emplace(current_key(r), r);
-  }
-
-  std::vector<double> values(doubles_);
-  while (!heap.empty()) {
-    const auto [key, r] = heap.top();
-    heap.pop();
-    Cursor& cur = cursors[r];
-    std::memcpy(values.data(), cur.buffer.data() + cur.buffer_pos + 8,
-                8 * doubles_);
-    emit(key, values.data());
-    cur.buffer_pos += rec;
-    if (cur.buffer_pos >= cur.buffer.size()) {
-      if (cur.rows_left == 0) continue;  // run exhausted
-      SS_RETURN_IF_ERROR(refill(r));
-    }
-    heap.emplace(current_key(r), r);
-  }
-  return Status::Ok();
-}
-
-Status SpillFile::MergePacked(
-    uint64_t chunk_budget_bytes,
-    const std::function<void(uint64_t, const double*)>& emit) {
   const size_t val_rec = value_size();
-  // Budget a chunk as if records were interleaved (key word bytes amortize
-  // to <= 8 per record), same floor/cap as the legacy path.
+  // Bound total read-buffer bytes by the budget, counting 8 bytes per key
+  // (packed key words take at most that): with R runs each buffer holds
+  // budget/(record*R) records, floored at 1 (a 1-byte budget still merges,
+  // one record at a time) and capped at 1024.
   const uint64_t chunk_rows = std::clamp<uint64_t>(
-      chunk_budget_bytes / (record_size() * runs_.size()), 1, 1024);
+      chunk_budget_bytes / ((8 + val_rec) * runs_.size()), 1, 1024);
 
   struct Cursor {
     uint64_t rows_left = 0;   // rows not yet buffered
@@ -446,6 +292,80 @@ Status SpillFile::MergePacked(
     }
     heap.emplace(current_key(r), r);
   }
+  return Status::Ok();
+}
+
+SpillStage::SpillStage(const MemoryGrant& grant, const SpillConfig& config,
+                       int query_id, size_t doubles_per_record)
+    : grant_(grant),
+      doubles_(doubles_per_record),
+      file_(std::make_unique<SpillFile>(config, query_id,
+                                        doubles_per_record)) {}
+
+std::vector<uint32_t> SpillStage::StableKeyOrder() const {
+  std::vector<uint32_t> order(keys_.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
+    return keys_[a] < keys_[b];
+  });
+  return order;
+}
+
+Status SpillStage::Append(const uint64_t* keys, const double* values,
+                          size_t n) {
+  keys_.insert(keys_.end(), keys, keys + n);
+  values_.insert(values_.end(), values, values + n * doubles_);
+  peak_staged_bytes_ = std::max(peak_staged_bytes_, StagedBytes());
+  if (!spilling_ || !grant_.WouldExceed(StagedBytes())) return Status::Ok();
+
+  // Stable sort by key: equal keys keep arrival order within the run, the
+  // invariant Replay's (key, run index) order relies on.
+  const std::vector<uint32_t> order = StableKeyOrder();
+  std::vector<uint64_t> sorted_keys(keys_.size());
+  std::vector<double> sorted_values(values_.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    sorted_keys[i] = keys_[order[i]];
+    std::memcpy(&sorted_values[i * doubles_], &values_[order[i] * doubles_],
+                8 * doubles_);
+  }
+  const Status written = file_->AppendRun(
+      sorted_keys.data(), sorted_values.data(), sorted_keys.size());
+  if (!written.ok()) {
+    spilling_ = false;
+    return written;
+  }
+  ++spill_runs_;
+  spill_bytes_ = file_->spilled_bytes();
+  keys_.clear();
+  values_.clear();
+  return Status::Ok();
+}
+
+Status SpillStage::Replay(
+    const std::function<void(uint64_t, const double*)>& fold) {
+  const auto staged = [this](size_t i) { return &values_[i * doubles_]; };
+  if (file_->empty()) {
+    for (size_t i = 0; i < keys_.size(); ++i) fold(keys_[i], staged(i));
+  } else {
+    // The staged tail arrived after every run: replay it in key order
+    // (stable, so arrival order per key), each key's records after that
+    // key's on-disk ones.
+    const std::vector<uint32_t> tail = StableKeyOrder();
+    size_t next = 0;
+    SS_RETURN_IF_ERROR(file_->Merge(
+        grant_.cap_bytes, [&](uint64_t key, const double* values) {
+          for (; next < tail.size() && keys_[tail[next]] < key; ++next) {
+            fold(keys_[tail[next]], staged(tail[next]));
+          }
+          fold(key, values);
+        }));
+    for (; next < tail.size(); ++next) {
+      fold(keys_[tail[next]], staged(tail[next]));
+    }
+  }
+  keys_ = {};
+  values_ = {};
+  file_.reset();  // removes the scratch file
   return Status::Ok();
 }
 

@@ -40,17 +40,9 @@ void MorselDispatcher::MarkConsumed(uint64_t morsel_index) {
   if (window_ > 0) window_open_.notify_all();
 }
 
-uint64_t MorselDispatcher::DefaultMorselRows(uint64_t num_rows,
-                                             uint64_t rows_per_page,
-                                             size_t workers) {
+uint64_t MorselDispatcher::DefaultMorselRows(uint64_t rows_per_page) {
   const uint64_t rpp = std::max<uint64_t>(1, rows_per_page);
-  if (num_rows == 0) return rpp;
-  // Aim for kMorselsPerWorker morsels per worker, but never smaller than
-  // kMinMorselRows rounded up to whole pages.
-  const uint64_t target =
-      num_rows / std::max<uint64_t>(1, workers * kMorselsPerWorker);
-  const uint64_t rows = std::max<uint64_t>(kMinMorselRows, target);
-  return ((rows + rpp - 1) / rpp) * rpp;
+  return ((kMinMorselRows + rpp - 1) / rpp) * rpp;
 }
 
 }  // namespace starshare

@@ -51,15 +51,13 @@ class MorselDispatcher {
   // called with strictly increasing indexes.
   void MarkConsumed(uint64_t morsel_index);
 
-  // A morsel size for `num_rows` over `workers` threads: a multiple of
-  // `rows_per_page` (so morsels are page-aligned), large enough that a
-  // morsel is meaningful work (>= kMinMorselRows), small enough that every
-  // worker gets several (load balancing against skewed morsel costs).
-  static uint64_t DefaultMorselRows(uint64_t num_rows, uint64_t rows_per_page,
-                                    size_t workers);
+  // The morsel size: kMinMorselRows rounded up to a multiple of
+  // `rows_per_page`, so morsels are page-aligned. It does not grow with
+  // the scan: the ordered merge buffers each morsel's matches per member,
+  // so a fixed size keeps those buffers small (DESIGN.md §8).
+  static uint64_t DefaultMorselRows(uint64_t rows_per_page);
 
   static constexpr uint64_t kMinMorselRows = 16 * 1024;
-  static constexpr uint64_t kMorselsPerWorker = 8;
 
  private:
   const uint64_t num_rows_;

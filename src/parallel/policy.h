@@ -8,6 +8,7 @@
 #include <cstdint>
 
 #include "exec/vector_batch.h"
+#include "parallel/morsel.h"
 #include "parallel/thread_pool.h"
 
 namespace starshare {
@@ -18,14 +19,21 @@ namespace starshare {
 struct ParallelPolicy {
   ThreadPool* pool = nullptr;
   size_t parallelism = 1;
-  // Rows per morsel; 0 picks MorselDispatcher::DefaultMorselRows (page
-  // aligned, >= 16K rows, ~8 morsels per worker).
+  // Rows per morsel (positions, for a probe); 0 picks
+  // MorselDispatcher::DefaultMorselRows: 16K rows rounded up to whole
+  // pages, whatever the scan's size or worker count.
   uint64_t morsel_rows = 0;
   // Rows per batch, in each worker and in the serial driver. Orthogonal to
   // the parallelism knobs: any batch size runs at any worker count.
   BatchConfig batch;
 
   bool engaged() const { return pool != nullptr && parallelism > 1; }
+
+  uint64_t EffectiveMorselRows(uint64_t rows_per_page) const {
+    return morsel_rows > 0
+               ? morsel_rows
+               : MorselDispatcher::DefaultMorselRows(rows_per_page);
+  }
 };
 
 }  // namespace starshare

@@ -130,13 +130,9 @@ void ContinuousScanRun::DriveSegment(const DoneFn& on_done) {
     const size_t workers =
         std::min(policy_.parallelism, policy_.pool->num_threads());
     ParallelContext ctx(disk_, workers);
-    const uint64_t morsel_rows =
-        policy_.morsel_rows > 0
-            ? policy_.morsel_rows
-            : MorselDispatcher::DefaultMorselRows(
-                  seg.num_rows(), table.rows_per_page(), workers);
-    MorselDispatcher dispatcher(seg.num_rows(), morsel_rows,
-                                /*window=*/4 * workers);
+    MorselDispatcher dispatcher(
+        seg.num_rows(), policy_.EffectiveMorselRows(table.rows_per_page()),
+        /*window=*/4 * workers);
     const size_t batch_rows = policy_.batch.EffectiveBatchRows();
     RunMorselPipeline<MorselMatches>(
         policy_.pool, workers, dispatcher, ctx,

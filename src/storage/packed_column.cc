@@ -101,15 +101,15 @@ KeyColumn KeyColumn::FromPacked(uint64_t rows, uint32_t bits, int32_t ref,
   col.bits_ = bits;
   col.mask_ = (uint64_t{1} << bits) - 1;
   col.ref_ = ref;
-  // Conservative range: the persisted geometry can represent
-  // [ref, ref + mask], so later appends in that window stay O(1) and a
-  // widening repack never narrows below the on-disk width.
-  col.min_ = ref;
-  col.max_ = ref + static_cast<int64_t>(col.mask_);
-  col.any_ = rows > 0;
-  col.exact_bounds_ = !col.any_;
   words.push_back(0);  // sentinel for straddle loads
   col.words_ = std::move(words);
+  // One decode for the exact range, so the loaded column appends, splices
+  // and repacks exactly like one that was never saved.
+  col.ForEach(0, rows, [&col](uint64_t, int32_t v) {
+    col.min_ = col.any_ ? std::min<int64_t>(col.min_, v) : v;
+    col.max_ = col.any_ ? std::max<int64_t>(col.max_, v) : v;
+    col.any_ = true;
+  });
   return col;
 }
 
@@ -143,23 +143,16 @@ KeyColumn KeyColumn::Splice(const KeyColumn& old,
   SS_CHECK(before.size() == values.size());
   KeyColumn col;
   col.size_ = old.size_ + values.size();
-  // The result's exact range: old's (rescanned when it is only FromPacked's
-  // window), widened by each new value.
-  const auto widen = [&col](int64_t v) {
+  // The result's exact range: old's, widened by each new value.
+  col.any_ = old.any_;
+  col.min_ = old.min_;
+  col.max_ = old.max_;
+  for (size_t j = 0; j < values.size(); ++j) {
+    SS_DCHECK(before[j] <= old.size_ && (j == 0 || before[j - 1] <= before[j]));
+    const int64_t v = values[j];
     col.min_ = col.any_ ? std::min(col.min_, v) : v;
     col.max_ = col.any_ ? std::max(col.max_, v) : v;
     col.any_ = true;
-  };
-  if (old.exact_bounds_) {
-    col.any_ = old.any_;
-    col.min_ = old.min_;
-    col.max_ = old.max_;
-  } else {
-    old.ForEach(0, old.size_, [&](uint64_t, int32_t v) { widen(v); });
-  }
-  for (size_t j = 0; j < values.size(); ++j) {
-    SS_DCHECK(before[j] <= old.size_ && (j == 0 || before[j - 1] <= before[j]));
-    widen(values[j]);
   }
   col.RecomputeWidth();
 

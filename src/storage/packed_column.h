@@ -39,6 +39,11 @@ class KeyColumn {
   uint32_t bits() const { return bits_; }
   int32_t ref() const { return static_cast<int32_t>(ref_); }
 
+  // The smallest and largest value, exact in either layout; meaningful
+  // only when size() > 0.
+  int32_t min() const { return static_cast<int32_t>(min_); }
+  int32_t max() const { return static_cast<int32_t>(max_); }
+
   void Reserve(uint64_t rows);
   void Append(int32_t value);
 
@@ -96,7 +101,8 @@ class KeyColumn {
 
   // Rebuilds a packed column from persisted geometry + payload words
   // (table_io v4 reader). `words` holds exactly ceil(rows * bits / 64)
-  // payload words; the sentinel is re-added here.
+  // payload words; the sentinel is re-added here. Decodes the words once
+  // for the exact value range.
   static KeyColumn FromPacked(uint64_t rows, uint32_t bits, int32_t ref,
                               std::vector<uint64_t> words);
 
@@ -133,17 +139,12 @@ class KeyColumn {
   std::vector<uint64_t> words_;  // payload + >= 1 sentinel word when packed
   uint32_t bits_ = 1;
   uint64_t mask_ = 1;
-  // Observed value range, tracked in both layouts so Pack() and widening
-  // repacks never rescan. int64 so conservative bounds from FromPacked
-  // (ref .. ref + mask) cannot overflow int32 arithmetic.
+  // Exact value range, kept by every constructor and mutation in both
+  // layouts, so Pack() and widening repacks never rescan.
   int64_t ref_ = 0;
   int64_t min_ = 0;
   int64_t max_ = 0;
-  bool any_ = false;  // false until the first Append seeds min_/max_
-  // False while min_/max_ are FromPacked's conservative window (or a
-  // range grown from it) rather than the values' exact range; Splice then
-  // rescans once.
-  bool exact_bounds_ = true;
+  bool any_ = false;  // false until the first value seeds min_/max_
 };
 
 }  // namespace starshare

@@ -271,68 +271,93 @@ TEST_F(PersistenceTest, LoadCubeRejectsPermutedKeyColumns) {
             StatusCode::kCorruption);
 }
 
-// Integer facts with X in [4, 12), so the base packs X at ref 4 and the
-// X'Y' view packs X' at ref 1, in a frame whose window reaches past its
-// largest value.
-std::unique_ptr<Table> FactsFromX4(const StarSchema& schema, uint64_t rows,
-                                   uint64_t seed) {
+// Integer facts with X in [x_lo, x_lo + x_span) and Y, Z over their whole
+// base domains.
+std::unique_ptr<Table> FactsWithX(const StarSchema& schema, uint64_t rows,
+                                  uint64_t seed, int32_t x_lo,
+                                  uint32_t x_span) {
   auto table = std::make_unique<Table>(
       "facts", GroupBySpec::Base(schema).KeyColumnNames(schema),
       schema.measure_names());
   Rng rng(seed);
   for (uint64_t r = 0; r < rows; ++r) {
-    const int32_t keys[] = {4 + static_cast<int32_t>(rng.NextBounded(8)),
-                            static_cast<int32_t>(rng.NextBounded(12)),
-                            static_cast<int32_t>(rng.NextBounded(12))};
+    const int32_t keys[] = {
+        x_lo + static_cast<int32_t>(rng.NextBounded(x_span)),
+        static_cast<int32_t>(rng.NextBounded(12)),
+        static_cast<int32_t>(rng.NextBounded(12))};
     table->AppendRow(keys, static_cast<double>(rng.NextBounded(1000)));
   }
   return table;
 }
 
 TEST_F(PersistenceTest, AppendAfterLoadMatchesNeverSaved) {
-  // A loaded view knows only its file's packed frame, not its exact value
-  // range. Appends to it must still give what the same appends give on an
-  // engine that never saved: the same packed words, statistics and RID
-  // lists, whether a delta stays in the frame or lowers it.
-  const auto build = [](Engine& engine) {
-    ASSERT_TRUE(
-        engine.AttachFactTable(FactsFromX4(engine.schema(), 3000, 71)).ok());
-    ASSERT_TRUE(engine.MaterializeView("X'Y'").ok());
-    ASSERT_TRUE(engine.MaterializeView("X''Z'", /*clustered=*/true).ok());
+  // A loaded table's packed frame may be wider than its values need.
+  // Appends to it must still give what the same appends give on an engine
+  // that never saved: the same packed words, frames, page counts,
+  // statistics and RID lists, whether a delta stays in the frame or lowers
+  // it. Each delta is a fact table or, for -1, generated facts (X reaches 0).
+  struct Delta {
+    int32_t x_lo;
+    uint32_t x_span;
   };
-  Engine saved(SmallSchema());
-  build(saved);
-  ASSERT_TRUE(saved.SaveCube(dir_.string()).ok());
-  Engine loaded(SmallSchema());
-  ASSERT_TRUE(loaded.LoadCube(dir_.string()).ok());
-  Engine never(SmallSchema());
-  build(never);
-  for (Engine* engine : {&loaded, &never}) {
-    ASSERT_TRUE(engine->BuildIndexes("X'Y'", {"X", "Y"}).ok());
-    ASSERT_TRUE(engine->BuildIndexes("XYZ", {"X"}).ok());
-  }
-
-  for (int round = 0; round < 3; ++round) {
-    SCOPED_TRACE("round " + std::to_string(round));
+  const auto check = [&](const std::string& label, int32_t x_lo,
+                         uint32_t x_span, const std::vector<Delta>& deltas) {
+    SCOPED_TRACE(label);
+    const auto build = [&](Engine& engine) {
+      ASSERT_TRUE(engine
+                      .AttachFactTable(FactsWithX(engine.schema(), 3000, 71,
+                                                  x_lo, x_span))
+                      .ok());
+      ASSERT_TRUE(engine.MaterializeView("X'Y'").ok());
+      ASSERT_TRUE(engine.MaterializeView("X''Z'", /*clustered=*/true).ok());
+    };
+    const std::string dir = (dir_ / label).string();
+    Engine saved(SmallSchema());
+    build(saved);
+    ASSERT_TRUE(saved.SaveCube(dir).ok());
+    Engine loaded(SmallSchema());
+    ASSERT_TRUE(loaded.LoadCube(dir).ok());
+    Engine never(SmallSchema());
+    build(never);
     for (Engine* engine : {&loaded, &never}) {
-      // Round 0 stays in every frame; the generated facts reach X = 0.
-      const Status appended =
-          round == 0 ? engine->AppendFactTable(
-                           FactsFromX4(engine->schema(), 400, 73))
-                     : engine->AppendFacts({.num_rows = 400,
-                                            .seed = 74u + round,
-                                            .integer_measures = true});
-      ASSERT_TRUE(appended.ok()) << appended.ToString();
+      ASSERT_TRUE(engine->BuildIndexes("X'Y'", {"X", "Y"}).ok());
+      ASSERT_TRUE(engine->BuildIndexes("XYZ", {"X"}).ok());
     }
-    for (const char* name : {"facts", "X'Y'", "X''Z'"}) {
-      const MaterializedView* got = loaded.views().FindByName(name);
-      const MaterializedView* want = never.views().FindByName(name);
-      ASSERT_NE(got, nullptr);
-      ASSERT_NE(want, nullptr);
-      ExpectSameTable(got->table(), want->table(), name);
-      ExpectSameStatsAndIndexes(loaded.schema(), *got, *want, name);
+
+    for (size_t round = 0; round < deltas.size(); ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      const Delta& delta = deltas[round];
+      for (Engine* engine : {&loaded, &never}) {
+        const Status appended =
+            delta.x_lo >= 0
+                ? engine->AppendFactTable(FactsWithX(engine->schema(), 400,
+                                                     73 + round, delta.x_lo,
+                                                     delta.x_span))
+                : engine->AppendFacts({.num_rows = 400,
+                                       .seed = 74u + round,
+                                       .integer_measures = true});
+        ASSERT_TRUE(appended.ok()) << appended.ToString();
+      }
+      for (const char* name : {"facts", "X'Y'", "X''Z'"}) {
+        const MaterializedView* got = loaded.views().FindByName(name);
+        const MaterializedView* want = never.views().FindByName(name);
+        ASSERT_NE(got, nullptr);
+        ASSERT_NE(want, nullptr);
+        ExpectSameTable(got->table(), want->table(), name);
+        EXPECT_EQ(got->table().num_pages(), want->table().num_pages())
+            << name;
+        ExpectSameStatsAndIndexes(loaded.schema(), *got, *want, name);
+      }
     }
-  }
+  };
+  // X in [4, 11] fills the base's 3-bit frame; the X'Y' view packs X' at
+  // ref 1 in a frame whose window reaches past its largest value. One
+  // in-frame append, then two generated ones that lower the frames.
+  check("fills_width", 4, 8, {{4, 8}, {-1, 0}, {-1, 0}});
+  // X in [2, 6] packs at 3 bits, window [2, 9]; a delta with X in [0, 2]
+  // lowers the frame and still fits 3 bits, which only the exact range
+  // shows.
+  check("window_wider", 2, 5, {{2, 5}, {0, 3}, {-1, 0}});
 }
 
 TEST_F(PersistenceTest, LoadCubeCorruptBaseAlwaysFails) {

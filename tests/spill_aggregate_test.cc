@@ -365,6 +365,55 @@ TEST_F(SpillAggregateTest, ViewBuilderSpillsBitIdentically) {
   EXPECT_EQ(NumScratchFiles(scratch_), 0u);
 }
 
+TEST_F(SpillAggregateTest, ViewBuilderKeepsStagingAfterAFailedSpillWrite) {
+  // A target whose spill write fails keeps staging in memory and spills
+  // nothing more; its replay still folds every cell in arrival order, so
+  // the real-valued sums stay bit-identical to the unbudgeted build's.
+  // Countdown 2: the first run is written and the second write fails.
+  // Countdown 4 fails the first target's second write, after its first
+  // run reached disk and before more rows arrive.
+  std::vector<GroupBySpec> targets;
+  for (const char* text : {"X'Y'Z", "X''Z'", "Y'"}) {
+    targets.push_back(GroupBySpec::Parse(text, schema_).value());
+  }
+  ViewBuilder oracle_builder(schema_);
+  DiskModel oracle_disk;
+  const auto oracle = oracle_builder.Build(*view_, targets, oracle_disk);
+
+  MemoryBudget budget(4096);
+  for (const int64_t countdown : {int64_t{2}, int64_t{4}}) {
+    ViewBuilder builder(schema_);
+    builder.set_memory_budget(&budget, SpillConfig{scratch_.string()});
+    FaultInjector::Instance().Enable(37);
+    FaultSpec spec;
+    spec.countdown = countdown;
+    FaultInjector::Instance().Arm("spill.write", spec);
+    const uint64_t runs_before = SpillRuns();
+    DiskModel disk;
+    const auto built = builder.Build(*view_, targets, disk);
+    const uint64_t fires = FaultInjector::Instance().fires("spill.write");
+    FaultInjector::Instance().Disable();
+    EXPECT_EQ(fires, 1u) << "countdown " << countdown;
+    EXPECT_GT(SpillRuns(), runs_before);
+
+    ASSERT_EQ(built.size(), oracle.size());
+    for (size_t i = 0; i < oracle.size(); ++i) {
+      ASSERT_EQ(built[i]->num_rows(), oracle[i]->num_rows());
+      for (uint64_t r = 0; r < oracle[i]->num_rows(); ++r) {
+        for (size_t m = 0; m < oracle[i]->num_measures(); ++m) {
+          const double x = built[i]->measure(r, m);
+          const double y = oracle[i]->measure(r, m);
+          ASSERT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
+              << "countdown " << countdown << " target " << i << " row " << r
+              << " measure " << m;
+        }
+      }
+    }
+    EXPECT_EQ(disk.stats(), oracle_disk.stats());
+    EXPECT_EQ(NumScratchFiles(scratch_), 0u);
+  }
+}
+
 TEST(SpillEngineTest, BudgetedEngineMatchesUnboundedAndDegradesGracefully) {
   const auto scratch = std::filesystem::temp_directory_path() /
                        "starshare_spill_engine_test";

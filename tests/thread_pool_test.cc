@@ -84,18 +84,23 @@ TEST(MorselDispatcherTest, EmptyScanYieldsNothing) {
 }
 
 TEST(MorselDispatcherTest, DefaultMorselRowsIsPageAlignedAndBounded) {
-  // Big scan: a multiple of the page size, several morsels per worker.
-  const uint64_t rows = 2'000'000, rpp = 409;
-  const uint64_t m = MorselDispatcher::DefaultMorselRows(rows, rpp, 4);
+  // kMinMorselRows rounded up to whole pages, whatever the scan: less than
+  // one page more than the minimum.
+  const uint64_t rpp = 409;
+  const uint64_t m = MorselDispatcher::DefaultMorselRows(rpp);
   EXPECT_EQ(m % rpp, 0u);
   EXPECT_GE(m, MorselDispatcher::kMinMorselRows);
+  EXPECT_LT(m, MorselDispatcher::kMinMorselRows + rpp);
+  // A big scan splits into several morsels per worker.
+  const uint64_t rows = 2'000'000;
   const uint64_t num_morsels = (rows + m - 1) / m;
   EXPECT_GE(num_morsels, 4u);  // every worker has something to steal
 
-  // Tiny scan: never below the minimum even if that means one morsel.
-  const uint64_t tiny = MorselDispatcher::DefaultMorselRows(1000, rpp, 8);
-  EXPECT_EQ(tiny % rpp, 0u);
-  EXPECT_GE(tiny, MorselDispatcher::kMinMorselRows);
+  // A page wider than the minimum is one morsel; a page-less table still
+  // gets the minimum.
+  EXPECT_EQ(MorselDispatcher::DefaultMorselRows(20'000), 20'000u);
+  EXPECT_EQ(MorselDispatcher::DefaultMorselRows(0),
+            MorselDispatcher::kMinMorselRows);
 }
 
 TEST(MorselDispatcherTest, WindowAppliesBackpressure) {
