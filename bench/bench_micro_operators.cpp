@@ -4,14 +4,19 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.h"
 #include "cube/view_builder.h"
 #include "exec/executor.h"
 #include "exec/flat_hash.h"
 #include "exec/hash_aggregator.h"
 #include "exec/operators/class_pipeline.h"
+#include "exec/vector_batch.h"
 #include "index/bitmap.h"
 #include "schema/data_generator.h"
+#include "storage/packed_column.h"
 
 namespace starshare {
 namespace {
@@ -148,6 +153,36 @@ void BM_ViewBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ViewBuild)->Arg(100000);
+
+// The star-join filter's first pass: a range select over 1.71M packed
+// 14-bit keys (paper_batch's A'B'C'D view holds that many rows) in batches
+// of kDefaultBatchRows, by the dispatched kernel (dispatched:1, the AVX-512
+// one where the CPU has it) and by the scalar one (dispatched:0).
+void BM_SelectInRange(benchmark::State& state) {
+  constexpr uint64_t kRows = 1'710'000;
+  Rng rng(6);
+  std::vector<int32_t> values(kRows);
+  for (int32_t& v : values) v = static_cast<int32_t>(rng.NextBounded(1 << 14));
+  KeyColumn col = KeyColumn::FromRaw(std::move(values));
+  col.Pack();
+  const auto kernel = state.range(0) == 1 ? &KeyColumn::SelectInRange
+                                          : &KeyColumn::SelectInRangeScalar;
+  std::vector<uint64_t> rows(kDefaultBatchRows);
+  std::vector<int32_t> keys(kDefaultBatchRows);
+  for (auto _ : state) {
+    size_t selected = 0;
+    for (uint64_t b = 0; b < kRows; b += kDefaultBatchRows) {
+      const uint64_t e = std::min<uint64_t>(kRows, b + kDefaultBatchRows);
+      selected += (col.*kernel)(b, e, 0, 244, rows.data(), keys.data());
+    }
+    benchmark::DoNotOptimize(selected);
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::DoNotOptimize(keys.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kRows));
+}
+BENCHMARK(BM_SelectInRange)->ArgName("dispatched")->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace starshare

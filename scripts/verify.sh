@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the plain build + full test suite, the same suite
+# Tier-1 verification: the plain build + full test suite (including
+# packed_column_test's SelectInRange cases, which run the scalar kernel and,
+# on CPUs with AVX-512 VBMI, the vector kernel against a row-by-row Get at
+# every key width), the same suite
 # under AddressSanitizer + UBSan (-DSTARSHARE_SANITIZE=ON), a dedicated
 # ASan pass of the spill suites (tiny budgets and failed writes exercise
 # every stage/spill/replay/cleanup path under the leak checker), the
@@ -72,13 +75,16 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
 echo "==> TSan build + threading suites"
 cmake -B build-tsan -S . -DSTARSHARE_SANITIZE=thread >/dev/null
 # vectorized_determinism_test's 4-thread cases run the star-join kernel on
-# morsel workers that share one set of dimension filters.
+# morsel workers that share one set of dimension filters. packed_column_test
+# checks the vector select kernel as this build compiles it: the
+# instrumentation calls make GCC spill its masks, which once miscompiled.
 cmake --build build-tsan -j "$JOBS" --target \
   thread_pool_test parallel_determinism_test parallel_chaos_test \
-  metrics_test trace_test spill_aggregate_test vectorized_determinism_test
+  metrics_test trace_test spill_aggregate_test vectorized_determinism_test \
+  packed_column_test
 TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'thread_pool_test|parallel_determinism_test|parallel_chaos_test|metrics_test|trace_test|spill_aggregate_test|vectorized_determinism_test'
+  -R 'thread_pool_test|parallel_determinism_test|parallel_chaos_test|metrics_test|trace_test|spill_aggregate_test|vectorized_determinism_test|packed_column_test'
 
 echo "==> cube lattice: ASan + TSan on the CUBE/ROLLUP suite"
 # The cube path stacks every subsystem: shared base batch, derived
@@ -123,8 +129,9 @@ echo "==> perf-smoke: scan benches on reduced rows"
 # unbounded run, and modeled I/O unchanged, at budgets down to 1/16 of the
 # working set.
 (cd build && STARSHARE_ROWS=120000 ./bench/bench_spill_aggregate >/dev/null)
-# The operator micro-benches only have to run; google-benchmark 1.7 takes
-# the minimum time as a plain number of seconds.
+# The operator micro-benches (BM_SelectInRange times both select kernels)
+# only have to run; google-benchmark 1.7 takes the minimum time as a plain
+# number of seconds.
 (cd build && ./bench/bench_micro_operators --benchmark_min_time=0.01 >/dev/null)
 
 echo "==> optimizer differential: Release build, 200 seeds, all optimizers"

@@ -58,6 +58,10 @@ std::vector<SharedDimFilter> BuildSharedFilters(
     for (size_t m = 0; m < filter.masks.size(); ++m) {
       if (filter.masks[m] != 0) accepted.push_back(static_cast<int32_t>(m));
     }
+    if (!accepted.empty()) {
+      filter.lo = accepted.front();
+      filter.hi = accepted.back();
+    }
     filter.pass_rows =
         view.has_stats()
             ? view.RowsMatching(schema.dim(d), d, stored, accepted)
@@ -98,20 +102,27 @@ void StarJoinFilterOp::EmitMatches(const ClassBatch& batch) {
     return;
   }
 
-  // The first filter decodes the whole batch. Every row is written at the
-  // list's end, and only a row some member accepts advances the end, so
-  // the list compacts without a branch. KeyColumn::ForEach decodes packed
-  // key words 64 bits at a time into the mask lookup.
+  // The first filter is the only loop over every row: a range select
+  // (16 packed keys a step where the CPU allows) keeps the rows whose key
+  // lies in [lo, hi], and the exact pass masks are looked up for those
+  // candidates only. Every candidate is written at the list's end, and only
+  // one some member accepts advances the end, so the list compacts in
+  // place without a branch.
   masks_.resize(n);
+  keys_.resize(n);
   uint32_t* masks = masks_.data();
+  const int32_t* keys = keys_.data();
+  const SharedDimFilter& first = filters_[0];
+  const size_t candidates = first.col->SelectInRange(
+      begin, batch.end, first.lo, first.hi, rows, keys_.data());
+  const uint32_t* first_masks = first.masks.data();
   size_t k = 0;
-  const uint32_t* first = filters_[0].masks.data();
-  filters_[0].col->ForEach(begin, batch.end, [&](uint64_t row, int32_t v) {
-    const uint32_t m = first[static_cast<uint32_t>(v)];
-    rows[k] = row;
+  for (size_t j = 0; j < candidates; ++j) {
+    const uint32_t m = first_masks[static_cast<uint32_t>(keys[j])];
+    rows[k] = rows[j];
     masks[k] = m;
     k += (m != 0);
-  });
+  }
   // Each later filter reads only the survivors' keys and compacts the same
   // way.
   for (size_t f = 1; f < filters_.size() && k > 0; ++f) {

@@ -1,11 +1,14 @@
 // Star-join filter (physical node kind kStarJoinFilter): evaluates the
 // shared dimension pass masks (§3.1, Fig. 2) over each pulled scan batch
 // and emits every hash member's matches. It evaluates the filters
-// selective-first: the filter that lets the fewest rows through runs over
-// the whole batch into a compact survivor list of (row, mask) pairs, each
-// later filter runs only over the survivors, and each member selects its
-// rows from the list. Survivors stay in ascending row order, so every
-// member's match stream is the one a row-by-row probe would emit.
+// selective-first: the filter that lets the fewest rows through selects
+// the batch's candidates, the rows whose key lies between its smallest and
+// largest accepted member (KeyColumn::SelectInRange), and looks up the pass
+// masks of the candidates only, into a compact survivor list of
+// (row, mask) pairs; each later filter runs only over the survivors, and
+// each member selects its rows from the list. Survivors stay in ascending
+// row order, so every member's match stream is the one a row-by-row probe
+// would emit.
 //
 // Also home to the shared dimension filters it evaluates: the per-predicate
 // pass tables and the per-class pass masks built from them.
@@ -45,6 +48,9 @@ struct SharedDimFilter {
   // Rows of the view whose key some query accepts (a mask != 0): the view's
   // statistics when it has them, else the number of accepted members.
   uint64_t pass_rows = 0;
+  // The smallest and largest accepted member; lo > hi when none is.
+  int32_t lo = 0;
+  int32_t hi = -1;
 };
 
 // Builds the filters for up to kMaxClassQueries hash queries (callers have
@@ -88,9 +94,11 @@ class StarJoinFilterOp : public BatchOperator {
   size_t n_hash_;
 
   // The current batch's survivor list: ascending absolute row ids and the
-  // pass mask each row carries so far.
+  // pass mask each row carries so far. The first filter's candidates and
+  // their keys fill rows_ and keys_ before it compacts them in place.
   std::vector<uint64_t> rows_;
   std::vector<uint32_t> masks_;
+  std::vector<int32_t> keys_;
   std::vector<uint64_t> sel_;  // one member's selection (absolute row ids)
 };
 

@@ -85,12 +85,31 @@ GlobalPlan ExhaustiveOptimizer::Plan(
     span.AddCounter("nodes", state.nodes);
   }
 
-  if (state.best.empty()) return seed;  // GG already optimal (or node cap)
-
   GlobalPlan plan;
-  for (auto& [view, members] : state.best) {
-    plan.classes.push_back(cost_.MakeClassPlan(view, members));
+  if (state.best.empty()) {
+    plan = std::move(seed);  // GG already optimal (or node cap)
+  } else {
+    for (auto& [view, members] : state.best) {
+      plan.classes.push_back(cost_.MakeClassPlan(view, members));
+    }
   }
+  // Emit the classes in the order their first member appears in the input,
+  // not in the order of the search's view addresses, so the plan's EXPLAIN
+  // text and the order EstMs sums its classes in follow the workload.
+  const auto first_member = [&](const ClassPlan& cls) {
+    size_t first = queries.size();
+    for (const LocalPlan& m : cls.members) {
+      const size_t at = static_cast<size_t>(
+          std::find(queries.begin(), queries.end(), m.query) -
+          queries.begin());
+      first = std::min(first, at);
+    }
+    return first;
+  };
+  std::stable_sort(plan.classes.begin(), plan.classes.end(),
+                   [&](const ClassPlan& a, const ClassPlan& b) {
+                     return first_member(a) < first_member(b);
+                   });
   return plan;
 }
 

@@ -9,15 +9,16 @@
 // return exactly the appended values in either mode — which is what makes
 // the engine-wide bit-identity invariant hold.
 //
-// Thread-safety: all read paths (Get, ForEach, Decode, accessors) are const
-// and touch no mutable state, so concurrent morsel workers may decode the
-// same column freely. Mutation (Append/Pack/Unpack/Reserve) requires
-// external exclusion, same as std::vector.
+// Thread-safety: all read paths (Get, ForEach, Decode, SelectInRange,
+// accessors) are const and touch no mutable state, so concurrent morsel
+// workers may decode the same column freely. Mutation (Append/Pack/Unpack/
+// Reserve) requires external exclusion, same as std::vector.
 
 #ifndef STARSHARE_STORAGE_PACKED_COLUMN_H_
 #define STARSHARE_STORAGE_PACKED_COLUMN_H_
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -61,8 +62,9 @@ class KeyColumn {
 
   // Invokes fn(row, value) for each row in [begin, end), decoding
   // word-at-a-time from the packed words in the hot layout. This is the
-  // batch kernel entry point: vectorized operators hand it a batch range
-  // and a lambda writing into batch-local arrays or folding directly.
+  // general batch kernel entry point: vectorized operators hand it a batch
+  // range and a lambda writing into batch-local arrays or folding directly.
+  // SelectInRange is the other, for a range test over every row.
   template <typename Fn>
   void ForEach(uint64_t begin, uint64_t end, Fn&& fn) const {
     if (!packed_) {
@@ -87,6 +89,32 @@ class KeyColumn {
   void Decode(uint64_t begin, uint64_t end, int32_t* out) const {
     ForEach(begin, end, [&](uint64_t i, int32_t v) { out[i - begin] = v; });
   }
+
+  // Widest packed column the vector kernel reads: a lane loads 4 bytes from
+  // its key's first byte, which hold up to 7 offset bits plus 25 key bits.
+  static constexpr uint32_t kMaxSimdSelectBits = 25;
+
+  // Writes each row of [begin, end) whose value lies in [lo, hi] to
+  // rows[k] and its value to keys[k], k = 0, 1, ... in ascending row order,
+  // and returns the count (0 when lo > hi). Each array needs end - begin
+  // entries and no more: the vector kernel stores whole vectors at k, but
+  // k never exceeds the rows before the step, so a store ends inside them.
+  // Runs SelectInRangeAvx512 on a packed column of at most
+  // kMaxSimdSelectBits bits over a span of two vector steps or more where
+  // the CPU has AVX-512 VBMI, else SelectInRangeScalar.
+  size_t SelectInRange(uint64_t begin, uint64_t end, int32_t lo, int32_t hi,
+                       uint64_t* rows, int32_t* keys) const;
+
+  // The two kernels SelectInRange chooses between, same contract; public so
+  // tests run each directly. The scalar kernel reads any column; the vector
+  // one needs a packed column of at most kMaxSimdSelectBits bits and
+  // SimdSelectSupported().
+  size_t SelectInRangeScalar(uint64_t begin, uint64_t end, int32_t lo,
+                             int32_t hi, uint64_t* rows, int32_t* keys) const;
+  size_t SelectInRangeAvx512(uint64_t begin, uint64_t end, int32_t lo,
+                             int32_t hi, uint64_t* rows, int32_t* keys) const;
+  // Whether this CPU (and OS) runs AVX-512 F, BW and VBMI code.
+  static bool SimdSelectSupported();
 
   // Switches layout in place. Both are lossless; Pack picks ref = min
   // observed value and bits = ceil(log2(range + 1)) (>= 1 even for a

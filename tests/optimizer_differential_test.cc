@@ -29,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <vector>
@@ -146,6 +147,30 @@ void CheckTrackerAgreesWithCostModel(const Engine& engine,
   }
 }
 
+// The exhaustive plan lists its classes in the order their first member
+// appears in the input.
+void ExpectClassesInInputOrder(const GlobalPlan& plan,
+                               const std::vector<DimensionalQuery>& queries,
+                               const std::string& label) {
+  const auto position = [&](const DimensionalQuery* q) {
+    return static_cast<size_t>(q - queries.data());
+  };
+  size_t previous = 0;
+  for (size_t c = 0; c < plan.classes.size(); ++c) {
+    size_t first = queries.size();
+    for (const auto& m : plan.classes[c].members) {
+      first = std::min(first, position(m.query));
+    }
+    ASSERT_LT(first, queries.size()) << label;
+    if (c > 0) {
+      EXPECT_LT(previous, first) << label << ": class " << c << " on "
+                                 << plan.classes[c].base->name()
+                                 << " out of input order";
+    }
+    previous = first;
+  }
+}
+
 // Runs the full differential protocol on one engine + workload.
 void RunDifferential(Engine& engine,
                      const std::vector<DimensionalQuery>& queries,
@@ -154,6 +179,9 @@ void RunDifferential(Engine& engine,
   for (OptimizerKind kind : kAllKinds) {
     plans.emplace(kind, engine.Optimize(queries, kind));
   }
+
+  ExpectClassesInInputOrder(plans.at(OptimizerKind::kExhaustive), queries,
+                            label);
 
   // (c) DAG never costlier than GG; (d) the oracle lower-bounds everyone.
   const double optimal = plans.at(OptimizerKind::kExhaustive).EstMs();

@@ -3,7 +3,9 @@
 // the full int32 domain (32-bit deltas, the widest v4 allows), empty
 // columns/tables, payloads ending in a partial word, and widening repacks
 // on out-of-range appends. Everything round-trips exactly — packing is
-// lossless by contract.
+// lossless by contract. SelectInRange's kernels (the scalar one, and the
+// AVX-512 one where the CPU has it) are checked against a row-by-row Get
+// at every width.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -13,6 +15,7 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -246,6 +249,160 @@ TEST(PackedColumnTest, SpliceOfLoadedColumnUsesExactRange) {
   const KeyColumn empty = KeyColumn::FromPacked(0, 1, 0, {});
   ExpectSpliceMatchesRepack(empty, {0, 0}, {0, 1}, /*expect_fast=*/true);
   ExpectSpliceMatchesRepack(empty, {}, {}, /*expect_fast=*/true);
+}
+
+// ---- SelectInRange ----------------------------------------------------------
+
+using SelectKernel = size_t (KeyColumn::*)(uint64_t, uint64_t, int32_t,
+                                           int32_t, uint64_t*, int32_t*) const;
+
+// Runs `kernel` over [begin, end) and checks it against a row-by-row Get,
+// and that it writes nothing past the end - begin entries the contract
+// allows.
+void ExpectSelectMatchesGet(const KeyColumn& col, SelectKernel kernel,
+                            uint64_t begin, uint64_t end, int64_t lo,
+                            int64_t hi) {
+  SCOPED_TRACE(::testing::Message() << "bits " << col.bits() << " packed "
+                                    << col.packed() << " [" << begin << ", "
+                                    << end << ") lo " << lo << " hi " << hi);
+  std::vector<uint64_t> want_rows;
+  std::vector<int32_t> want_keys;
+  for (uint64_t row = begin; row < end; ++row) {
+    const int32_t v = col.Get(row);
+    if (v >= lo && v <= hi) {
+      want_rows.push_back(row);
+      want_keys.push_back(v);
+    }
+  }
+  constexpr size_t kGuard = 32;
+  const size_t n = end - begin;
+  std::vector<uint64_t> rows(n + kGuard, ~uint64_t{0});
+  std::vector<int32_t> keys(n + kGuard, -7);
+  const size_t k = (col.*kernel)(begin, end, static_cast<int32_t>(lo),
+                                 static_cast<int32_t>(hi), rows.data(),
+                                 keys.data());
+  ASSERT_EQ(k, want_rows.size());
+  EXPECT_EQ(std::vector<uint64_t>(rows.begin(), rows.begin() + k), want_rows);
+  EXPECT_EQ(std::vector<int32_t>(keys.begin(), keys.begin() + k), want_keys);
+  for (size_t i = n; i < n + kGuard; ++i) {
+    ASSERT_EQ(rows[i], ~uint64_t{0}) << "row slot " << i << " written";
+    ASSERT_EQ(keys[i], -7) << "key slot " << i << " written";
+  }
+}
+
+// Every begin in 0..17 up to the payload end (whose last vector step ends
+// exactly there for begin 0 and 9..16, as the row count is a multiple of
+// 16), a few shorter spans, and ranges: empty, one member, the whole
+// domain, below the ref, above the maximum, straddling either end, and
+// random.
+void ExpectSelectMatchesGetOverRanges(const KeyColumn& col,
+                                      SelectKernel kernel, Rng& rng) {
+  const int64_t min = col.min();
+  const int64_t max = col.max();
+  const auto key_at_random = [&] {
+    return int64_t{col.Get(rng.NextBounded(col.size()))};
+  };
+  const int64_t x = key_at_random();
+  int64_t y = key_at_random();
+  int64_t z = key_at_random();
+  if (y > z) std::swap(y, z);
+  const int64_t lowest = std::numeric_limits<int32_t>::min();
+  const int64_t highest = std::numeric_limits<int32_t>::max();
+  std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {1, 0}, {x, x}, {min, max}, {lowest, highest}, {y, z},
+      {std::max(lowest, min - 3), x}, {x, std::min(highest, max + 3)}};
+  if (x < highest) ranges.push_back({x + 1, x});
+  if (min - 10 >= lowest) ranges.push_back({min - 10, min - 1});
+  if (max + 10 <= highest) ranges.push_back({max + 1, max + 10});
+  const uint64_t size = col.size();
+  for (const auto& [lo, hi] : ranges) {
+    for (uint64_t begin = 0; begin <= 17; ++begin) {
+      ExpectSelectMatchesGet(col, kernel, begin, size, lo, hi);
+    }
+    for (const uint64_t end : {uint64_t{0}, uint64_t{1}, uint64_t{31},
+                               uint64_t{32}, uint64_t{47}, size - 5}) {
+      for (const uint64_t begin : {uint64_t{0}, uint64_t{3}, uint64_t{8}}) {
+        if (begin <= end) ExpectSelectMatchesGet(col, kernel, begin, end, lo, hi);
+      }
+    }
+  }
+}
+
+// A packed column of `rows` values (a multiple of 16) at exactly `bits`
+// bits, both ends of its frame present, and a nonzero ref at most widths.
+KeyColumn ColumnAtWidth(Rng& rng, uint32_t bits, uint64_t rows) {
+  const int64_t span = int64_t{1} << bits;
+  const int64_t ref = bits == 32   ? std::numeric_limits<int32_t>::min()
+                      : bits == 31 ? -(int64_t{1} << 30)
+                      : bits % 3 == 0 ? 0
+                                      : -7 * int64_t{bits} + 3;
+  std::vector<int32_t> values;
+  for (uint64_t r = 0; r < rows; ++r) {
+    values.push_back(static_cast<int32_t>(
+        ref + static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(span)))));
+  }
+  values[rng.NextBounded(rows)] = static_cast<int32_t>(ref);
+  values[rng.NextBounded(rows)] = static_cast<int32_t>(ref + span - 1);
+  KeyColumn col = KeyColumn::FromRaw(std::move(values));
+  col.Pack();
+  return col;
+}
+
+// Checks `kernel` over every width 1..32 (vector kernels only up to
+// kMaxSimdSelectBits), the raw layout, and columns rebuilt by FromPacked and
+// Splice.
+void ExpectKernelMatchesGet(SelectKernel kernel, bool vector_only) {
+  Rng rng(1998);
+  constexpr uint64_t kRows = 16 * 24;
+  for (uint32_t bits = 1; bits <= 32; ++bits) {
+    if (vector_only && bits > KeyColumn::kMaxSimdSelectBits) break;
+    const KeyColumn col = ColumnAtWidth(rng, bits, kRows);
+    ASSERT_TRUE(col.packed());
+    ASSERT_EQ(col.bits(), bits);
+    ExpectSelectMatchesGetOverRanges(col, kernel, rng);
+
+    std::vector<uint64_t> payload(col.words().begin(),
+                                  col.words().begin() + col.num_words());
+    const KeyColumn loaded = KeyColumn::FromPacked(
+        col.size(), col.bits(), col.ref(), std::move(payload));
+    ExpectSelectMatchesGetOverRanges(loaded, kernel, rng);
+
+    // 16 more in-frame values keep the row count a multiple of 16.
+    std::vector<int32_t> inserted;
+    for (int j = 0; j < 16; ++j) {
+      inserted.push_back(col.Get(rng.NextBounded(col.size())));
+    }
+    const KeyColumn spliced = KeyColumn::Splice(
+        col, InsertionPoints(rng, col.size(), inserted.size()), inserted);
+    ASSERT_TRUE(spliced.packed());
+    ASSERT_EQ(spliced.bits(), bits);
+    ExpectSelectMatchesGetOverRanges(spliced, kernel, rng);
+  }
+  if (vector_only) return;
+  std::vector<int32_t> raw_values;
+  for (uint64_t r = 0; r < kRows; ++r) {
+    raw_values.push_back(static_cast<int32_t>(rng.NextBounded(1000)) - 500);
+  }
+  const KeyColumn raw = KeyColumn::FromRaw(std::move(raw_values));
+  ExpectSelectMatchesGetOverRanges(raw, kernel, rng);
+}
+
+TEST(PackedColumnTest, SelectInRangeMatchesGet) {
+  ExpectKernelMatchesGet(&KeyColumn::SelectInRange, /*vector_only=*/false);
+}
+
+TEST(PackedColumnTest, ScalarSelectInRangeMatchesGet) {
+  ExpectKernelMatchesGet(&KeyColumn::SelectInRangeScalar,
+                         /*vector_only=*/false);
+}
+
+TEST(PackedColumnTest, Avx512SelectInRangeMatchesGet) {
+  if (!KeyColumn::SimdSelectSupported()) {
+    GTEST_SKIP() << "this CPU lacks AVX-512 F/BW/VBMI; the vector select "
+                    "kernel is not run";
+  }
+  ExpectKernelMatchesGet(&KeyColumn::SelectInRangeAvx512,
+                         /*vector_only=*/true);
 }
 
 // ---- Compressed table geometry over the edge columns ----------------------
