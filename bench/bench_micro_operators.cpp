@@ -147,7 +147,7 @@ void BM_ViewBuild(benchmark::State& state) {
   ViewBuilder builder(f.schema);
   const GroupBySpec spec = GroupBySpec::Parse("A'B'C'D", f.schema).value();
   for (auto _ : state) {
-    auto t = builder.Build(*f.view, {spec}, f.disk);
+    auto t = builder.Build(*f.view, {spec}, f.disk).value();
     benchmark::DoNotOptimize(t[0]->num_rows());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

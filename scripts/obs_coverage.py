@@ -18,8 +18,9 @@ class-cost tracker (cost/class_cost_tracker), the CUBE/ROLLUP
 lattice path (cube/lattice, the derived-source operator), the
 star-join filter operator (exec/operators/star_join_filter), and the
 view build, refresh and splice path (cube/view_builder,
-cube/materialized_view, index/bitmap_join_index). Other files are
-ignored. Prints a per-file table and
+cube/materialized_view, index/bitmap_join_index), and the one pass
+driver (exec/operators/pass_driver.h, exec/operators/class_pipeline,
+parallel/morsel_pipeline.h). Other files are ignored. Prints a per-file table and
 exits non-zero when total gated line coverage falls below the threshold
 (default 90%).
 """
@@ -46,6 +47,9 @@ GATED = (
     os.path.join("src", "cube", "view_builder."),
     os.path.join("src", "cube", "materialized_view."),
     os.path.join("src", "index", "bitmap_join_index."),
+    os.path.join("src", "exec", "operators", "pass_driver.h"),
+    os.path.join("src", "exec", "operators", "class_pipeline."),
+    os.path.join("src", "parallel", "morsel_pipeline.h"),
 )
 
 

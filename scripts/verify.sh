@@ -28,9 +28,10 @@
 # incremental class-cost tracker, the compressed-storage files
 # (packed_column, table_io), the CUBE/ROLLUP lattice path
 # (cube/lattice, the derived-source operator), the star-join filter
-# kernel and the view build/refresh/splice path (cube/view_builder,
-# cube/materialized_view, index/bitmap_join_index) at >= 90% covered
-# lines.
+# kernel, the view build/refresh/splice path (cube/view_builder,
+# cube/materialized_view, index/bitmap_join_index) and the pass driver
+# (exec/operators/pass_driver.h, exec/operators/class_pipeline,
+# parallel/morsel_pipeline.h) at >= 90% covered lines.
 # All stages must pass. Run from the repository root:
 #
 #   scripts/verify.sh [jobs]
@@ -78,13 +79,17 @@ cmake -B build-tsan -S . -DSTARSHARE_SANITIZE=thread >/dev/null
 # morsel workers that share one set of dimension filters. packed_column_test
 # checks the vector select kernel as this build compiles it: the
 # instrumentation calls make GCC spill its masks, which once miscompiled.
+# physical_plan_determinism_test runs the pass driver's {1,4} threads x
+# {1,1024} batch-rows matrix over the scan, probe, hybrid and unshared
+# passes and view builds; server segments and rollups are the driver's
+# other callers, covered by the server and cube stages below.
 cmake --build build-tsan -j "$JOBS" --target \
   thread_pool_test parallel_determinism_test parallel_chaos_test \
   metrics_test trace_test spill_aggregate_test vectorized_determinism_test \
-  packed_column_test
+  packed_column_test physical_plan_determinism_test
 TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'thread_pool_test|parallel_determinism_test|parallel_chaos_test|metrics_test|trace_test|spill_aggregate_test|vectorized_determinism_test|packed_column_test'
+  -R 'thread_pool_test|parallel_determinism_test|parallel_chaos_test|metrics_test|trace_test|spill_aggregate_test|vectorized_determinism_test|packed_column_test|physical_plan_determinism_test'
 
 echo "==> cube lattice: ASan + TSan on the CUBE/ROLLUP suite"
 # The cube path stacks every subsystem: shared base batch, derived

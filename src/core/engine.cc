@@ -265,8 +265,10 @@ Result<MaterializedView*> Engine::MaterializeView(const GroupBySpec& spec,
     return Status::InvalidArgument("no source can materialize " +
                                    spec.ToString(schema_));
   }
-  Result<Table*> table = catalog_.Register(std::move(
-      builder_.Build(*sources.front(), {spec}, disk_, clustered).front()));
+  Result<std::vector<std::unique_ptr<Table>>> built =
+      builder_.Build(*sources.front(), {spec}, disk_, clustered);
+  if (!built.ok()) return built.status();
+  Result<Table*> table = catalog_.Register(std::move(built->front()));
   if (!table.ok()) return table.status();
   auto view = std::make_unique<MaterializedView>(schema_, spec, table.value());
   view->set_clustered(clustered);
@@ -306,12 +308,13 @@ Result<std::vector<MaterializedView*>> Engine::MaterializeViews(
     return Status::InvalidArgument(
         "no single source can materialize all requested group-bys");
   }
-  std::vector<std::unique_ptr<Table>> tables =
+  Result<std::vector<std::unique_ptr<Table>>> tables =
       builder_.Build(*sources.front(), specs, disk_, clustered);
+  if (!tables.ok()) return tables.status();
   std::vector<MaterializedView*> out;
   out.reserve(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
-    Result<Table*> registered = catalog_.Register(std::move(tables[i]));
+    Result<Table*> registered = catalog_.Register(std::move((*tables)[i]));
     if (!registered.ok()) return registered.status();
     auto view = std::make_unique<MaterializedView>(schema_, specs[i],
                                                    registered.value());

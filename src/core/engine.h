@@ -69,8 +69,9 @@ struct EngineConfig {
   // bit-identical to serial at any setting (see DESIGN.md "Parallel
   // execution model"). 0 means ThreadPool::HardwareThreads().
   size_t parallelism = 1;
-  // Rows per morsel for parallel passes (0 = 16K rows rounded up to whole
-  // pages; see ParallelPolicy::morsel_rows).
+  // Rows per morsel for parallel passes, rounded up to whole pages so no
+  // page is charged twice (0 = 16K rows, rounded the same way; see
+  // ParallelPolicy::morsel_rows).
   uint64_t morsel_rows = 0;
   // Rows per batch for the shared operators, view builds and the query
   // server's scans. Any batch size produces bit-identical results and

@@ -6,12 +6,10 @@
 #include "exec/dim_translator.h"
 #include "exec/flat_hash.h"
 #include "exec/key_packer.h"
+#include "exec/operators/pass_driver.h"
 #include "exec/operators/scan_source.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/morsel.h"
-#include "parallel/morsel_pipeline.h"
-#include "parallel/parallel_context.h"
 #include "plan/lowering.h"
 
 namespace starshare {
@@ -50,17 +48,15 @@ std::vector<std::pair<uint64_t, uint32_t>> EmitOrder(
   return order;
 }
 
-// Pulls one ScanSourceOp over the rows [begin, end) of `table` on `disk`,
+// Pulls one ScanSourceOp over all rows of `table` on `disk`, serially,
 // executing the given Scan node: rows and batches land on the node, and
-// `per_batch(b, e)` sees exactly the fixed-size batch spans the §3 pipeline
-// driver sees (page charges and tuple counts are identical to the old
-// page-at-a-time build scans by ScanSourceOp's contract).
+// `per_batch(b, e)` sees exactly the fixed-size batch spans the pass
+// driver's serial chain sees.
 template <typename PerBatch>
-void DriveScan(const Table& table, DiskModel& disk, uint64_t begin,
-               uint64_t end, uint64_t batch_rows, NodeExec& scan,
-               PerBatch&& per_batch) {
-  scan.AddRows(end - begin);
-  ScanSourceOp op(table, disk, begin, end, batch_rows);
+void DriveScan(const Table& table, DiskModel& disk, uint64_t batch_rows,
+               NodeExec& scan, PerBatch&& per_batch) {
+  scan.AddRows(table.num_rows());
+  ScanSourceOp op(table, disk, 0, table.num_rows(), batch_rows);
   ClassBatch batch;
   op.Open();
   while (op.NextBatch(batch)) {
@@ -176,31 +172,19 @@ struct ViewBuilder::TargetState {
       }
     }
     // A failed spill write keeps the rows staged and ends spilling: the
-    // target completes in memory (a build has no member status to fail).
+    // target completes in memory.
     stage->Append(keys, values.data(), n);
   }
 
-  // Batch form over the contiguous rows [begin, end), with caller-owned key
-  // scratch. Fold order per cell matches the serial loop exactly.
-  void AccumulateBatch(uint64_t begin, uint64_t end,
-                       std::vector<uint64_t>& keys) {
-    const size_t n = static_cast<size_t>(end - begin);
-    keys.resize(n);
-    translator.PackRange(begin, n, keys.data());
-    FoldBatch(keys.data(), n, begin);
-  }
-
   // Folds a budgeted target's records into the aggregator; must run before
-  // Emit. A spill read failure (torn scratch file) is fatal: the rows exist
-  // nowhere else.
-  void ReplayStage() {
-    if (stage == nullptr) return;
-    const Status replayed =
-        stage->Replay([this](uint64_t key, const double* vals) {
-          agg->Add(key, vals);
-        });
-    SS_CHECK_MSG(replayed.ok(), "view build spill merge failed: %s",
-                 replayed.ToString().c_str());
+  // Emit. A failed spill read (an injected fault, a short read, a CRC
+  // mismatch) returns its status: the rows exist nowhere else, so the
+  // build fails, and the stage's scratch file goes with the state.
+  Status ReplayStage() {
+    if (stage == nullptr) return Status::Ok();
+    return stage->Replay([this](uint64_t key, const double* vals) {
+      agg->Add(key, vals);
+    });
   }
 };
 
@@ -321,15 +305,14 @@ RefreshedTable ViewBuilder::Refresh(const MaterializedView& view,
   NodeExec agg(phys, lowered.aggregate, disk);
   {
     NodeExec scan(phys, lowered.scans[0], disk);
-    DriveScan(view.table(), disk, 0, view.table().num_rows(), batch_rows,
-              scan, [](uint64_t, uint64_t) {});
+    DriveScan(view.table(), disk, batch_rows, scan, [](uint64_t, uint64_t) {});
   }
   std::vector<uint64_t> delta_keys(delta.table().num_rows());
   {
     NodeExec scan(phys, lowered.scans[1], disk);
     const DimTranslator translator(schema_, view.spec(), delta, packer);
-    DriveScan(delta.table(), disk, 0, delta.table().num_rows(), batch_rows,
-              scan, [&](uint64_t b, uint64_t e) {
+    DriveScan(delta.table(), disk, batch_rows, scan,
+              [&](uint64_t b, uint64_t e) {
                 translator.PackRange(b, static_cast<size_t>(e - b),
                                      delta_keys.data() + b);
               });
@@ -460,7 +443,7 @@ RefreshedTable ViewBuilder::MergeDelta(
   return out;
 }
 
-std::vector<std::unique_ptr<Table>> ViewBuilder::Build(
+Result<std::vector<std::unique_ptr<Table>>> ViewBuilder::Build(
     const MaterializedView& source, const std::vector<GroupBySpec>& targets,
     DiskModel& disk, bool clustered) const {
   // A one-target build is named by its target, a shared one by the view it
@@ -469,7 +452,8 @@ std::vector<std::unique_ptr<Table>> ViewBuilder::Build(
       targets.size() == 1 ? targets[0].ToString(schema_) : source.name();
   static obs::Counter& builds = obs::Metrics().counter("view.builds");
   builds.Add(targets.size());
-  // Closes after MergeIntoParent, so merged worker I/O lands in its delta.
+  // Closes after the pass has merged its workers' I/O, so that I/O lands
+  // in its delta.
   obs::ScopedSpan span("view.build", detail);
   span.AddRows(source.table().num_rows());
   span.AddCounter("targets", targets.size());
@@ -484,8 +468,10 @@ std::vector<std::unique_ptr<Table>> ViewBuilder::Build(
   }
   for (TargetState& state : states) GrantBudget(state, states.size());
 
-  // A build executes the lowered Aggregate <- Scan tree, like every other
-  // path in the system; parallelism is only a driver property. Targets
+  // A build executes the lowered Aggregate <- Scan tree as one pass of the
+  // pass driver, like every other shared pass; parallelism is only a
+  // driver property. Slot t carries target t's packed keys, and measure
+  // values are re-read by the fold (already charged by the scan). Targets
   // aggregate independently and each sees its rows in ascending order, so
   // folding target by target replays a row-by-row fold of every target
   // exactly.
@@ -500,71 +486,45 @@ std::vector<std::unique_ptr<Table>> ViewBuilder::Build(
     NodeExec agg(phys, lowered.aggregate, disk);
     {
       NodeExec scan(phys, lowered.scans[0], disk);
-      if (!policy_.engaged()) {
-        std::vector<uint64_t> keys;
-        DriveScan(table, disk, 0, table.num_rows(), batch_rows, scan,
-                  [&](uint64_t b, uint64_t e) {
-                    for (TargetState& state : states) {
-                      state.AccumulateBatch(b, e, keys);
-                    }
-                  });
-      } else {
-        // Every row feeds every target, so a morsel's buffer is one
-        // packed-key column per target; measure values are re-read by the
-        // consumer (cheap, and already charged by the worker's page scan).
-        const size_t workers =
-            std::min(policy_.parallelism, policy_.pool->num_threads());
-        MorselDispatcher dispatcher(
-            table.num_rows(),
-            policy_.EffectiveMorselRows(table.rows_per_page()),
-            /*window=*/4 * workers);
-        ParallelContext ctx(disk, workers);
-        scan.AddRows(table.num_rows());
-        struct KeyBuffer {
-          std::vector<std::vector<uint64_t>> keys;
-        };
-        RunMorselPipeline<KeyBuffer>(
-            policy_.pool, workers, dispatcher, ctx,
-            [&](const Morsel& morsel, DiskModel& wdisk, KeyBuffer& buffer) {
-              buffer.keys.resize(states.size());
-              for (std::vector<uint64_t>& keys : buffer.keys) {
-                keys.clear();
-                keys.reserve(morsel.num_rows());
-              }
-              // Per-morsel ScanSourceOp on the worker disk: identical page
-              // charges and batch spans as the serial chain over this
-              // slice. Batches arrive adjacent and ascending, so packing
-              // each span onto the tail keeps buffer.keys[t][i] the key of
-              // row morsel.begin + i.
-              ScanSourceOp op(table, wdisk, morsel.begin, morsel.end,
-                              batch_rows);
-              ClassBatch batch;
-              op.Open();
-              while (op.NextBatch(batch)) {
-                const size_t n = static_cast<size_t>(batch.end - batch.begin);
-                for (size_t t = 0; t < states.size(); ++t) {
-                  std::vector<uint64_t>& keys = buffer.keys[t];
-                  const size_t base = keys.size();
-                  keys.resize(base + n);
-                  states[t].translator.PackRange(batch.begin, n,
-                                                 keys.data() + base);
-                }
-              }
-              op.Close();
-            },
-            [&](const Morsel& morsel, const KeyBuffer& buffer) {
-              scan.AddBatches(1);
+      scan.AddRows(table.num_rows());
+      DrivePass(
+          policy_, disk, table.num_rows(), table.rows_per_page(),
+          states.size(),
+          [&](DiskModel& d, uint64_t begin, uint64_t end,
+              std::vector<QueryMatchBatch>& out, const auto& on_batch) {
+            ScanSourceOp op(table, d, begin, end, batch_rows);
+            ClassBatch batch;
+            op.Open();
+            while (op.NextBatch(batch)) {
+              const size_t n = static_cast<size_t>(batch.end - batch.begin);
               for (size_t t = 0; t < states.size(); ++t) {
-                states[t].FoldBatch(buffer.keys[t].data(),
-                                    buffer.keys[t].size(), morsel.begin);
+                std::vector<uint64_t>& keys = out[t].keys;
+                const size_t base = keys.size();
+                keys.resize(base + n);
+                states[t].translator.PackRange(batch.begin, n,
+                                               keys.data() + base);
               }
-            });
-        ctx.MergeIntoParent();
+              on_batch(batch.begin);
+            }
+            op.Close();
+          },
+          [&](const std::vector<QueryMatchBatch>& out, uint64_t begin) {
+            scan.AddBatches(1);
+            for (size_t t = 0; t < states.size(); ++t) {
+              states[t].FoldBatch(out[t].keys.data(), out[t].size(), begin);
+            }
+          });
+    }
+    for (TargetState& state : states) {
+      const Status replayed = state.ReplayStage();
+      if (!replayed.ok()) {
+        agg.SetStatus(replayed);
+        span.SetStatus(replayed);
+        return replayed;
       }
     }
     uint64_t cells = 0;
     for (size_t i = 0; i < targets.size(); ++i) {
-      states[i].ReplayStage();
       tables.push_back(
           Emit(*states[i].agg, targets[i], table, disk, clustered));
       cells += tables.back()->num_rows();

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "cube/materialized_view.h"
 #include "exec/memory_budget.h"
 #include "exec/spill.h"
@@ -62,8 +63,8 @@ class ViewBuilder {
   // Parallelism and batch size of Build's shared scan; Refresh follows only
   // the batch size. With the default policy (no pool, parallelism 1) builds
   // run on the calling thread; an engaged policy runs the scan
-  // morsel-parallel. Either driver emits bit-identical tables and charges
-  // identical I/O.
+  // morsel-parallel. Either way the pass driver emits bit-identical tables
+  // and charges identical I/O.
   void set_parallel_policy(const ParallelPolicy& policy) { policy_ = policy; }
 
   // Compressed layout for emitted tables: Emit packs the finished table
@@ -82,7 +83,8 @@ class ViewBuilder {
   // folds each cell in arrival order. After a failed spill write a target
   // keeps staging in memory and spills nothing more; its replay is still in
   // arrival order (builds have no per-query status channel to surface
-  // kResourceExhausted through). Refresh takes no grant: its working state
+  // kResourceExhausted through). A failed replay fails the build (see
+  // Build). Refresh takes no grant: its working state
   // is O(delta) beside the old and new tables. The pointer must outlive the
   // builder's use.
   void set_memory_budget(const MemoryBudget* budget,
@@ -97,12 +99,16 @@ class ViewBuilder {
   // target (checked). Charges one scan plus every table's write to `disk`.
   // Returns the tables in target order, each named by its spec string.
   //
-  // The serial driver packs and folds each batch on the calling thread. The
-  // morsel driver's workers pack each row's key for every target into
-  // per-morsel buffers that the calling thread folds in morsel order, so
-  // output tables and charged I/O are bit-identical at any thread count
-  // (the ordered-merge argument of the parallel shared operators).
-  std::vector<std::unique_ptr<Table>> Build(
+  // The scan is one pass of the pass driver (exec/operators/pass_driver.h):
+  // its chains pack each row's key for every target, one output slot per
+  // target, and the calling thread folds the slots target by target in
+  // row order, after every batch (serial) or every morsel (parallel), so
+  // output tables and charged I/O are bit-identical at any thread count.
+  // A budgeted target whose spill replay fails (an injected "spill.read"
+  // fault, a short read, a CRC mismatch) fails the whole build with that
+  // status: nothing is emitted or charged past the scan, and every
+  // target's scratch file is removed.
+  Result<std::vector<std::unique_ptr<Table>>> Build(
       const MaterializedView& source,
       const std::vector<GroupBySpec>& targets, DiskModel& disk,
       bool clustered = false) const;

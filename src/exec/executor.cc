@@ -27,6 +27,60 @@ ExecutedQuery FromOutcome(const DimensionalQuery* query, QueryResult result,
   return out;
 }
 
+// One member of an executed class: its query, method name and estimate
+// (< 0 when unpriced).
+struct ClassMember {
+  const DimensionalQuery* query = nullptr;
+  const char* method = "";
+  double est_ms = -1.0;
+};
+
+// Turns a class's outcome into one entry per member, in `members` order
+// (the outcome's slot order); a whole-class failure (malformed class)
+// becomes every member's status. Each member gets a routing leaf: an
+// "exec.member" span when `traced`, carrying its estimate, row count and
+// status, and the same record as a PhysicalMemberStat on the routing node
+// (Route when present, Aggregate for one-member classes). Both are made
+// after the shared pass, which works on all members at once, so they
+// charge no I/O of their own.
+std::vector<ExecutedQuery> RecordMembers(
+    const std::vector<ClassMember>& members, Result<SharedOutcome> outcome,
+    bool traced, PhysicalPlan* phys, const LoweredClassNodes& nodes) {
+  static obs::Counter& member_failures =
+      obs::Metrics().counter("exec.member_failures");
+  std::vector<ExecutedQuery> out;
+  out.reserve(members.size());
+  for (size_t i = 0; i < members.size(); ++i) {
+    const ClassMember& member = members[i];
+    if (outcome.ok()) {
+      out.push_back(FromOutcome(member.query, std::move(outcome->results[i]),
+                                std::move(outcome->statuses[i])));
+    } else {
+      out.push_back(FromOutcome(member.query, QueryResult(), outcome.status()));
+    }
+    const ExecutedQuery& entry = out.back();
+    if (!entry.status.ok()) member_failures.Add();
+    if (traced) {
+      obs::ScopedSpan span("exec.member", member.method, member.query->id());
+      span.SetEstMs(member.est_ms);
+      span.AddRows(entry.result.num_rows());
+      span.SetStatus(entry.status);
+    }
+    if (phys != nullptr) {
+      const size_t stat_node =
+          nodes.route != kNoPhysNode ? nodes.route : nodes.aggregate;
+      PhysicalMemberStat stat;
+      stat.query_id = member.query->id();
+      stat.method = member.method;
+      stat.est_ms = member.est_ms;
+      stat.rows = entry.result.num_rows();
+      stat.status_code = static_cast<int>(entry.status.code());
+      phys->node(stat_node).member_stats.push_back(std::move(stat));
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 size_t ExecutionReport::num_recovered() const {
@@ -103,8 +157,6 @@ std::vector<ExecutedQuery> Executor::ExecuteClass(const ClassPlan& cls,
                                                   PhysicalPlan* phys) const {
   SS_CHECK(cls.base != nullptr && !cls.members.empty());
   static obs::Counter& classes = obs::Metrics().counter("exec.classes");
-  static obs::Counter& member_failures =
-      obs::Metrics().counter("exec.member_failures");
   static obs::Histogram& class_members =
       obs::Metrics().histogram("exec.class_members");
   classes.Add();
@@ -158,65 +210,16 @@ std::vector<ExecutedQuery> Executor::ExecuteClass(const ClassPlan& cls,
     req.phys = phys;
     req.nodes = &nodes;
   }
-  Result<SharedOutcome> outcome = ExecuteSharedClass(req);
-
-  std::vector<const DimensionalQuery*> order = hash_queries;
-  order.insert(order.end(), index_queries.begin(), index_queries.end());
-
-  const auto find_local = [&](const DimensionalQuery* query) -> const LocalPlan* {
-    for (const auto& m : cls.members) {
-      if (m.query == query) return &m;
+  // Members in the outcome's slot order: hash members, then index members.
+  std::vector<ClassMember> members;
+  for (const bool hash : {true, false}) {
+    for (const LocalPlan& m : cls.members) {
+      if ((m.method == JoinMethod::kHashScan) != hash) continue;
+      members.push_back({m.query, JoinMethodName(m.method), m.EstMs()});
     }
-    return nullptr;
-  };
-  // Per-member routing leaves: one span per query of the class, carrying
-  // the member's estimate, its produced row count and its status. Created
-  // post-hoc (the shared pipeline works on all members at once), so they
-  // charge no I/O of their own. The same record lands on the physical
-  // routing node (Route when present, Aggregate for one-member classes).
-  const auto emit_member = [&](const ExecutedQuery& entry) {
-    const LocalPlan* local = find_local(entry.query);
-    if (class_span.active()) {
-      obs::ScopedSpan span(
-          "exec.member",
-          local != nullptr ? JoinMethodName(local->method) : "",
-          entry.query->id());
-      if (local != nullptr) span.SetEstMs(local->EstMs());
-      span.AddRows(entry.result.num_rows());
-      span.SetStatus(entry.status);
-    }
-    if (phys != nullptr) {
-      const size_t stat_node =
-          nodes.route != kNoPhysNode ? nodes.route : nodes.aggregate;
-      PhysicalMemberStat stat;
-      stat.query_id = entry.query->id();
-      stat.method = local != nullptr ? JoinMethodName(local->method) : "";
-      stat.est_ms = local != nullptr ? local->EstMs() : -1.0;
-      stat.rows = entry.result.num_rows();
-      stat.status_code = static_cast<int>(entry.status.code());
-      phys->node(stat_node).member_stats.push_back(std::move(stat));
-    }
-  };
-
-  std::vector<ExecutedQuery> out;
-  out.reserve(order.size());
-  if (!outcome.ok()) {
-    // Whole-class failure (malformed class): every member inherits it.
-    for (const auto* q : order) {
-      out.push_back(FromOutcome(q, QueryResult(), outcome.status()));
-      member_failures.Add();
-      emit_member(out.back());
-    }
-    return out;
   }
-  for (size_t i = 0; i < order.size(); ++i) {
-    out.push_back(FromOutcome(order[i],
-                              std::move(outcome->results[i]),
-                              std::move(outcome->statuses[i])));
-    if (!out.back().status.ok()) member_failures.Add();
-    emit_member(out.back());
-  }
-  return out;
+  return RecordMembers(members, ExecuteSharedClass(req), class_span.active(),
+                       phys, nodes);
 }
 
 std::vector<ExecutedQuery> Executor::ExecuteDerivedClass(
@@ -228,8 +231,6 @@ std::vector<ExecutedQuery> Executor::ExecuteDerivedClass(
   SS_CHECK(member_est_ms == nullptr || member_est_ms->size() == queries.size());
   static obs::Counter& classes =
       obs::Metrics().counter("exec.derived_classes");
-  static obs::Counter& member_failures =
-      obs::Metrics().counter("exec.member_failures");
   classes.Add();
 
   // Same 32-wide pass-mask limit as the shared scan: oversized rollup
@@ -285,48 +286,13 @@ std::vector<ExecutedQuery> Executor::ExecuteDerivedClass(
     aggregate_nodes->insert(aggregate_nodes->end(), queries.size(),
                             phys != nullptr ? nodes.aggregate : kNoPhysNode);
   }
-  Result<SharedOutcome> outcome = ExecuteSharedClass(req);
-
-  // Per-member leaves, as in ExecuteClass, with method "rollup".
-  const auto emit_member = [&](const ExecutedQuery& entry, size_t i) {
-    const double est =
-        member_est_ms != nullptr ? (*member_est_ms)[i] : -1.0;
-    if (class_span.active()) {
-      obs::ScopedSpan span("exec.member", "rollup", entry.query->id());
-      if (est >= 0.0) span.SetEstMs(est);
-      span.AddRows(entry.result.num_rows());
-      span.SetStatus(entry.status);
-    }
-    if (phys != nullptr) {
-      const size_t stat_node =
-          nodes.route != kNoPhysNode ? nodes.route : nodes.aggregate;
-      PhysicalMemberStat stat;
-      stat.query_id = entry.query->id();
-      stat.method = "rollup";
-      stat.est_ms = est;
-      stat.rows = entry.result.num_rows();
-      stat.status_code = static_cast<int>(entry.status.code());
-      phys->node(stat_node).member_stats.push_back(std::move(stat));
-    }
-  };
-
-  std::vector<ExecutedQuery> out;
-  out.reserve(queries.size());
-  if (!outcome.ok()) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      out.push_back(FromOutcome(queries[i], QueryResult(), outcome.status()));
-      member_failures.Add();
-      emit_member(out.back(), i);
-    }
-    return out;
-  }
+  std::vector<ClassMember> members;
   for (size_t i = 0; i < queries.size(); ++i) {
-    out.push_back(FromOutcome(queries[i], std::move(outcome->results[i]),
-                              std::move(outcome->statuses[i])));
-    if (!out.back().status.ok()) member_failures.Add();
-    emit_member(out.back(), i);
+    members.push_back({queries[i], "rollup",
+                       member_est_ms != nullptr ? (*member_est_ms)[i] : -1.0});
   }
-  return out;
+  return RecordMembers(members, ExecuteSharedClass(req), class_span.active(),
+                       phys, nodes);
 }
 
 std::vector<ExecutedQuery> Executor::ExecutePlan(const GlobalPlan& plan,

@@ -11,23 +11,16 @@
 #include "exec/operators/aggregate_sink.h"
 #include "exec/operators/bitmap_filter.h"
 #include "exec/operators/derived_source.h"
+#include "exec/operators/pass_driver.h"
 #include "exec/operators/probe_source.h"
 #include "exec/operators/scan_source.h"
 #include "exec/operators/star_join_filter.h"
 #include "index/bitmap.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/morsel.h"
-#include "parallel/morsel_pipeline.h"
-#include "parallel/parallel_context.h"
 
 namespace starshare {
 namespace {
-
-size_t EffectiveWorkers(const ParallelPolicy& policy) {
-  if (!policy.engaged()) return 1;
-  return std::min(policy.parallelism, policy.pool->num_threads());
-}
 
 // A member that survived its private phase.
 struct LiveMember {
@@ -38,13 +31,6 @@ struct LiveMember {
   // check on each candidate row.
   Bitmap bitmap;
   std::vector<const DimPredicate*> residual;
-};
-
-// One morsel's worth of per-slot match streams, each in ascending row
-// order. Concatenating buffers in morsel order replays the serial
-// aggregation sequence exactly.
-struct MorselMatches {
-  std::vector<QueryMatchBatch> slots;
 };
 
 }  // namespace
@@ -215,22 +201,38 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
   // node's scope below so the dim_filters span nests under it.
   std::vector<SharedDimFilter> filters;
 
-  // Builds one operator chain over the given input slice on DiskModel `d`
-  // and pulls it dry, handing `on_batch` each batch's matches. The serial
-  // driver calls it once over the whole input on the parent disk; the
-  // morsel driver calls it per morsel on a worker disk.
-  const auto drive_chain = [&](DiskModel& d, uint64_t row_begin,
-                               uint64_t row_end, const uint64_t* pos,
-                               size_t n_pos,
-                               std::vector<QueryMatchBatch>& matches,
-                               const auto& on_batch) {
-    ScanSourceOp scan_src(table, d, row_begin, row_end, batch_rows);
-    ProbeSourceOp probe_src(table, d, pos, n_pos);
-    DerivedSourceOp derived_src(row_begin, row_end, batch_rows);
-    BatchOperator* chain =
-        req.probe     ? static_cast<BatchOperator*>(&probe_src)
-        : req.derived ? static_cast<BatchOperator*>(&derived_src)
-                      : static_cast<BatchOperator*>(&scan_src);
+  // Probe position ranges are snapped forward to page changes, so no page
+  // is probed (or charged) by two morsels and the snapped ranges cover
+  // every position exactly once.
+  const uint64_t rpp = table.rows_per_page();
+  const auto snap = [&](uint64_t i) {
+    while (i > 0 && i < positions.size() &&
+           positions[i] / rpp == positions[i - 1] / rpp) {
+      ++i;
+    }
+    return i;
+  };
+  // Builds one operator chain over units [begin, end) — rows, or the
+  // probe's positions — on DiskModel `d` and pulls it dry, its filters
+  // appending each batch's matches to `out` (exec/operators/pass_driver.h).
+  const auto run = [&](DiskModel& d, uint64_t begin, uint64_t end,
+                       std::vector<QueryMatchBatch>& out,
+                       const auto& on_batch) {
+    std::optional<ScanSourceOp> scan_src;
+    std::optional<ProbeSourceOp> probe_src;
+    std::optional<DerivedSourceOp> derived_src;
+    BatchOperator* chain = nullptr;
+    if (req.probe) {
+      begin = snap(begin);
+      end = snap(end);
+      if (begin >= end) return;
+      chain = &probe_src.emplace(table, d, positions.data() + begin,
+                                 end - begin);
+    } else if (req.derived) {
+      chain = &derived_src.emplace(begin, end, batch_rows);
+    } else {
+      chain = &scan_src.emplace(table, d, begin, end, batch_rows);
+    }
     std::optional<StarJoinFilterOp> sjf_op;
     if (!req.probe) {
       sjf_op.emplace(chain, d, filters, bound, n_live_hash);
@@ -243,12 +245,9 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
       chain = &*bmf_op;
     }
     ClassBatch batch;
-    batch.matches = &matches;
+    batch.matches = &out;
     chain->Open();
-    while (chain->NextBatch(batch)) {
-      on_batch();
-      for (QueryMatchBatch& m : matches) m.Clear();
-    }
+    while (chain->NextBatch(batch)) on_batch(batch.begin);
     chain->Close();
   };
 
@@ -298,92 +297,18 @@ Result<SharedOutcome> ExecuteSharedClass(const SharedClassRequest& req) {
           obs::Metrics().counter("exec.probe_passes");
       probe_passes.Add();
     }
+    const uint64_t num_units = req.probe ? positions.size() : table.num_rows();
     NodeExec source(*phys, nodes->source, disk);
-    source.AddRows(req.probe ? positions.size() : table.num_rows());
+    source.AddRows(num_units);
     source.AddCounter("members", bound.size());
 
-    if (!req.policy.engaged()) {
-      // Serial drive: one chain over the whole input on the parent disk.
-      // Batch boundaries are [k*B, (k+1)*B) for the scan and the whole
-      // position set for the probe — the pre-DAG serial groupings.
-      std::vector<QueryMatchBatch> matches(n_live);
-      drive_chain(disk, 0, table.num_rows(), positions.data(),
-                  positions.size(), matches, [&] {
-                    source.AddBatches(1);
-                    note_match_bytes(matches);
-                    sink.Consume(matches);
-                  });
-    } else {
-      const size_t workers = EffectiveWorkers(req.policy);
-      ParallelContext ctx(disk, workers);
-      if (!req.probe) {
-        MorselDispatcher dispatcher(
-            table.num_rows(),
-            req.policy.EffectiveMorselRows(table.rows_per_page()),
-            /*window=*/4 * workers);
-        RunMorselPipeline<MorselMatches>(
-            req.policy.pool, workers, dispatcher, ctx,
-            [&](const Morsel& morsel, DiskModel& wdisk,
-                MorselMatches& buffer) {
-              buffer.slots.resize(n_live);
-              std::vector<QueryMatchBatch> matches(n_live);
-              drive_chain(wdisk, morsel.begin, morsel.end, nullptr, 0,
-                          matches, [&] {
-                            for (size_t qi = 0; qi < n_live; ++qi) {
-                              buffer.slots[qi].Append(
-                                  matches[qi].keys.data(),
-                                  matches[qi].values.data(),
-                                  matches[qi].size());
-                            }
-                          });
-            },
-            [&](const Morsel&, const MorselMatches& buffer) {
-              source.AddBatches(1);  // one tally per merged morsel
-              note_match_bytes(buffer.slots);
-              sink.Consume(buffer.slots);
-            });
-      } else {
-        // Position ranges are snapped forward to page changes so no page is
-        // probed (or charged) by two workers and the effective ranges cover
-        // every position exactly once.
-        const uint64_t rpp = table.rows_per_page();
-        const auto effective_begin = [&](uint64_t i) {
-          while (i > 0 && i < positions.size() &&
-                 positions[i] / rpp == positions[i - 1] / rpp) {
-            ++i;
-          }
-          return i;
-        };
-        MorselDispatcher dispatcher(positions.size(),
-                                    req.policy.EffectiveMorselRows(rpp),
-                                    /*window=*/4 * workers);
-        RunMorselPipeline<MorselMatches>(
-            req.policy.pool, workers, dispatcher, ctx,
-            [&](const Morsel& morsel, DiskModel& wdisk,
-                MorselMatches& buffer) {
-              buffer.slots.resize(n_live);
-              const uint64_t begin = effective_begin(morsel.begin);
-              const uint64_t end = effective_begin(morsel.end);
-              if (begin >= end) return;
-              std::vector<QueryMatchBatch> matches(n_live);
-              drive_chain(wdisk, 0, 0, positions.data() + begin, end - begin,
-                          matches, [&] {
-                            for (size_t qi = 0; qi < n_live; ++qi) {
-                              buffer.slots[qi].Append(
-                                  matches[qi].keys.data(),
-                                  matches[qi].values.data(),
-                                  matches[qi].size());
-                            }
-                          });
-            },
-            [&](const Morsel&, const MorselMatches& buffer) {
-              source.AddBatches(1);  // one tally per merged morsel
-              note_match_bytes(buffer.slots);
-              sink.Consume(buffer.slots);
-            });
-      }
-      ctx.MergeIntoParent();
-    }
+    // One tally per consumed batch (serial) or morsel (parallel).
+    DrivePass(req.policy, disk, num_units, rpp, n_live, run,
+              [&](const std::vector<QueryMatchBatch>& out, uint64_t) {
+                source.AddBatches(1);
+                note_match_bytes(out);
+                sink.Consume(out);
+              });
 
     // Seal each filter node's memory gauge before its scope closes: the
     // shared pass masks, the per-member candidate bitmaps, and (probe path)

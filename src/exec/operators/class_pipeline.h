@@ -10,10 +10,10 @@
 // union bitmap's positions (§3.2), or — for a CUBE/ROLLUP rollup class — a
 // DerivedSourceOp re-batching a finished sibling aggregate's groups with
 // zero modeled I/O. Parallelism is a property of the
-// driver, not of the operators: a disengaged policy pulls one chain over
-// the whole input on the calling thread; an engaged policy instantiates
-// the same chain per morsel on worker DiskModels and merges match buffers
-// in morsel order (parallel/morsel_pipeline.h). Both drivers produce
+// driver, not of the operators: the pass driver (pass_driver.h) pulls one
+// chain over the whole input on the calling thread, or, with an engaged
+// policy, the same chain per morsel on worker DiskModels, merging match
+// buffers in morsel order. Both ways produce
 // bit-identical results and exactly equal IoStats at any thread count and
 // any batch size.
 

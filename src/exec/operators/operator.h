@@ -4,12 +4,12 @@
 //
 //   ScanSourceOp / ProbeSourceOp  ->  StarJoinFilterOp / BitmapFilterOp
 //
-// pulled by a driver (exec/operators/class_pipeline.h) that routes the
-// per-query match streams into AggregateSink. Parallelism is purely a
-// driver property: the serial driver pulls one chain over the whole input;
-// the morsel driver instantiates the same chain per morsel on a worker
-// DiskModel and replays the buffered matches in morsel order. Both fold
-// every aggregate in identical order and charge identical IoStats.
+// pulled by the one pass driver (exec/operators/pass_driver.h), whose
+// callers route the per-query match streams into AggregateSink.
+// Parallelism is purely a driver property: serially one chain runs over
+// the whole input; engaged, the same chain runs per morsel on a worker
+// DiskModel and the buffered matches are consumed in morsel order. Both
+// fold every aggregate in identical order and charge identical IoStats.
 //
 // Contract: Open() once, then NextBatch(batch) until it returns false.
 // Filters pull from their child, so only the chain root is driven. A batch

@@ -18,8 +18,10 @@ namespace starshare {
 
 class ScanSourceOp : public BatchOperator {
  public:
-  // Morsel drivers pass page-aligned [begin, end) slices, so each page is
-  // charged by exactly one ScanSourceOp across the whole scan.
+  // The pass driver hands morsel chains page-aligned [begin, end) slices,
+  // so each page is charged by exactly one ScanSourceOp across the whole
+  // scan. A new op over a range charges its pages again (a server
+  // segment's second revolution is real modeled I/O).
   ScanSourceOp(const Table& table, DiskModel& disk, uint64_t row_begin,
                uint64_t row_end, uint64_t batch_rows)
       : disk_(disk),
@@ -47,19 +49,6 @@ class ScanSourceOp : public BatchOperator {
     cursor_ = batch_end;
     return true;
   }
-
-  // Continuous-scan support (server/scan_runner.h): repositions the
-  // operator on a new [begin, end) slice. The high-water page cursor is
-  // reset too, so rows revisited after a circular wraparound are charged
-  // again — a second revolution over a page is real modeled I/O.
-  void Reset(uint64_t row_begin, uint64_t row_end) {
-    cursor_ = row_begin;
-    end_ = row_end;
-    next_page_ = row_begin / rpp_;
-  }
-
-  uint64_t cursor() const { return cursor_; }
-  uint64_t end() const { return end_; }
 
  private:
   DiskModel& disk_;

@@ -40,9 +40,11 @@ void MorselDispatcher::MarkConsumed(uint64_t morsel_index) {
   if (window_ > 0) window_open_.notify_all();
 }
 
-uint64_t MorselDispatcher::DefaultMorselRows(uint64_t rows_per_page) {
+uint64_t MorselDispatcher::MorselRows(uint64_t requested,
+                                      uint64_t rows_per_page) {
+  const uint64_t rows = requested > 0 ? requested : kMinMorselRows;
   const uint64_t rpp = std::max<uint64_t>(1, rows_per_page);
-  return ((kMinMorselRows + rpp - 1) / rpp) * rpp;
+  return ((rows + rpp - 1) / rpp) * rpp;
 }
 
 }  // namespace starshare

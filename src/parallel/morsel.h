@@ -51,11 +51,12 @@ class MorselDispatcher {
   // called with strictly increasing indexes.
   void MarkConsumed(uint64_t morsel_index);
 
-  // The morsel size: kMinMorselRows rounded up to a multiple of
-  // `rows_per_page`, so morsels are page-aligned. It does not grow with
-  // the scan: the ordered merge buffers each morsel's matches per member,
-  // so a fixed size keeps those buffers small (DESIGN.md §8).
-  static uint64_t DefaultMorselRows(uint64_t rows_per_page);
+  // The morsel size: `requested` rows (kMinMorselRows when 0) rounded up
+  // to a multiple of `rows_per_page`, so morsels are page-aligned and each
+  // page is charged by one morsel. The default does not grow with the
+  // scan: the ordered merge buffers each morsel's matches per member, so a
+  // fixed size keeps those buffers small (DESIGN.md §8).
+  static uint64_t MorselRows(uint64_t requested, uint64_t rows_per_page);
 
   static constexpr uint64_t kMinMorselRows = 16 * 1024;
 

@@ -15,8 +15,10 @@
 // backpressure window bounds how many produced-but-unconsumed buffers can
 // exist at once.
 //
-// With no pool (or one worker requested) everything runs inline on the
-// calling thread — same code, no threads, trivially the serial order.
+// With no pool, one worker requested or a pool that refuses every worker,
+// everything runs inline on the calling thread — same code, no threads,
+// trivially the serial order. The pass driver (exec/operators/
+// pass_driver.h) is the engine's one caller.
 
 #ifndef STARSHARE_PARALLEL_MORSEL_PIPELINE_H_
 #define STARSHARE_PARALLEL_MORSEL_PIPELINE_H_
@@ -46,18 +48,6 @@ void RunMorselPipeline(ThreadPool* pool, size_t parallelism,
   const uint64_t num_morsels = dispatcher.num_morsels();
   if (num_morsels == 0) return;
 
-  if (pool == nullptr || parallelism <= 1) {
-    // Inline serial execution: produce + consume per morsel, in order.
-    DiskModel& disk = ctx.worker_disk(0);
-    while (auto morsel = dispatcher.Next()) {
-      Buffer buffer;
-      produce(*morsel, disk, buffer);
-      consume(*morsel, buffer);
-      dispatcher.MarkConsumed(morsel->index);
-    }
-    return;
-  }
-
   struct Slot {
     Buffer buffer;
     Morsel morsel;
@@ -68,7 +58,10 @@ void RunMorselPipeline(ThreadPool* pool, size_t parallelism,
   std::mutex mu;
   std::condition_variable slot_ready;
 
-  const size_t n_workers = std::min<size_t>(parallelism, ctx.num_workers());
+  const size_t n_workers =
+      pool == nullptr || parallelism <= 1
+          ? 0
+          : std::min<size_t>(parallelism, ctx.num_workers());
   std::vector<TaskHandle> tasks;
   tasks.reserve(n_workers);
   for (size_t w = 0; w < n_workers; ++w) {
@@ -90,11 +83,12 @@ void RunMorselPipeline(ThreadPool* pool, size_t parallelism,
   }
 
   if (tasks.empty()) {
-    // The pool refused every worker (engine teardown racing a query).
-    // Degrade to the inline serial path — produce + consume + MarkConsumed
-    // per morsel, same order, zero threads — so the query still completes.
-    // Producing without consuming would fill the dispatcher's backpressure
-    // window and block Next() forever once num_morsels exceeds it.
+    // Inline on the calling thread: no pool, one worker requested, or the
+    // pool refused every worker (engine teardown racing a query). Produce
+    // + consume + MarkConsumed per morsel, same order, zero threads, so the
+    // query still completes. Producing without consuming would fill the
+    // dispatcher's backpressure window and block Next() forever once
+    // num_morsels exceeds it.
     DiskModel& disk = ctx.worker_disk(0);
     while (auto morsel = dispatcher.Next()) {
       Buffer buffer;

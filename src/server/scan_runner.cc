@@ -5,22 +5,12 @@
 
 #include "common/macros.h"
 #include "exec/operators/class_pipeline.h"
+#include "exec/operators/pass_driver.h"
+#include "exec/operators/scan_source.h"
 #include "exec/operators/star_join_filter.h"
 #include "obs/metrics.h"
-#include "parallel/morsel.h"
-#include "parallel/morsel_pipeline.h"
-#include "parallel/parallel_context.h"
 
 namespace starshare {
-namespace {
-
-// One morsel's per-member match streams, ascending row order (the same
-// buffer the batch class pipeline merges).
-struct MorselMatches {
-  std::vector<QueryMatchBatch> slots;
-};
-
-}  // namespace
 
 ContinuousScanRun::ContinuousScanRun(const StarSchema& schema,
                                      const MaterializedView& view,
@@ -32,8 +22,7 @@ ContinuousScanRun::ContinuousScanRun(const StarSchema& schema,
       disk_(disk),
       policy_(policy),
       cursor_(view.table().num_rows(), segment_rows,
-              view.table().rows_per_page()),
-      scan_(view.table(), disk, 0, 0, policy.batch.EffectiveBatchRows()) {
+              view.table().rows_per_page()) {
   disk_.TakeFault();  // discard faults latched by earlier, unrelated work
 }
 
@@ -112,57 +101,28 @@ void ContinuousScanRun::DriveSegment(const DoneFn& on_done) {
   const Table& table = view_.table();
   const size_t n = members_.size();
 
-  if (!policy_.engaged()) {
-    // Serial drive: the run's one resumable scan source, repositioned on
-    // this segment, under a fresh filter over the current membership.
-    scan_.Reset(seg.begin, seg.end);
-    StarJoinFilterOp filter(&scan_, disk_, filters_, bound_, n);
-    std::vector<QueryMatchBatch> matches(n);
-    ClassBatch batch;
-    batch.matches = &matches;
-    filter.Open();
-    while (filter.NextBatch(batch)) {
-      DispatchMatches(seg.begin, matches);
-      for (QueryMatchBatch& m : matches) m.Clear();
-    }
-    filter.Close();
-  } else {
-    const size_t workers =
-        std::min(policy_.parallelism, policy_.pool->num_threads());
-    ParallelContext ctx(disk_, workers);
-    MorselDispatcher dispatcher(
-        seg.num_rows(), policy_.EffectiveMorselRows(table.rows_per_page()),
-        /*window=*/4 * workers);
-    const size_t batch_rows = policy_.batch.EffectiveBatchRows();
-    RunMorselPipeline<MorselMatches>(
-        policy_.pool, workers, dispatcher, ctx,
-        [&](const Morsel& morsel, DiskModel& wdisk, MorselMatches& buffer) {
-          // Morsel offsets are relative to the segment; both the segment
-          // start and the morsel grid are page-aligned, so each page is
-          // still charged by exactly one worker.
-          buffer.slots.resize(n);
-          ScanSourceOp scan_src(table, wdisk, seg.begin + morsel.begin,
-                                seg.begin + morsel.end, batch_rows);
-          StarJoinFilterOp filter(&scan_src, wdisk, filters_, bound_, n);
-          std::vector<QueryMatchBatch> matches(n);
-          ClassBatch batch;
-          batch.matches = &matches;
-          filter.Open();
-          while (filter.NextBatch(batch)) {
-            for (size_t qi = 0; qi < n; ++qi) {
-              buffer.slots[qi].Append(matches[qi].keys.data(),
-                                      matches[qi].values.data(),
-                                      matches[qi].size());
-              matches[qi].Clear();
-            }
-          }
-          filter.Close();
-        },
-        [&](const Morsel&, const MorselMatches& buffer) {
-          DispatchMatches(seg.begin, buffer.slots);
-        });
-    ctx.MergeIntoParent();
-  }
+  const size_t batch_rows = policy_.batch.EffectiveBatchRows();
+  // The pass's units are the segment's rows, counted from its start. The
+  // segment and the morsel grid are both page-aligned, so each page is
+  // charged by exactly one chain; a fresh source per segment starts its
+  // page high-water there, so rows revisited after the wrap are charged
+  // again.
+  DrivePass(
+      policy_, disk_, seg.num_rows(), table.rows_per_page(), n,
+      [&](DiskModel& d, uint64_t begin, uint64_t end,
+          std::vector<QueryMatchBatch>& out, const auto& on_batch) {
+        ScanSourceOp scan(table, d, seg.begin + begin, seg.begin + end,
+                          batch_rows);
+        StarJoinFilterOp filter(&scan, d, filters_, bound_, n);
+        ClassBatch batch;
+        batch.matches = &out;
+        filter.Open();
+        while (filter.NextBatch(batch)) on_batch(batch.begin);
+        filter.Close();
+      },
+      [&](const std::vector<QueryMatchBatch>& out, uint64_t) {
+        DispatchMatches(seg.begin, out);
+      });
 
   // A device fault during the segment takes down every member riding the
   // scan — the same all-or-nothing semantics as the batch shared pass; the

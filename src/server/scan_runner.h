@@ -16,15 +16,17 @@
 // attachment point. A member attached at cursor 0 buffers nothing and
 // folds every segment directly (the plain serial order).
 //
-// I/O. Segments are driven through the same ScanSourceOp high-water page
-// charging as a batch scan, so a full-revolution member charges exactly
-// the batch scan's pages; a late member's revolution additionally re-reads
-// the prefix [0, a) — wraparound I/O is real modeled I/O, charged again.
+// I/O. Each segment is one pass of the pass driver
+// (exec/operators/pass_driver.h) over a fresh ScanSourceOp per chain, with
+// the same high-water page charging as a batch scan, so a full-revolution
+// member charges exactly the batch scan's pages; a late member's
+// revolution additionally re-reads the prefix [0, a) — wraparound I/O is
+// real modeled I/O, charged again.
 //
 // Threading: the whole object is confined to the controller thread.
 // Within a segment, rows may be produced morsel-parallel on the engine's
-// pool (the standard ordered-merge pipeline); the fold always happens on
-// the controller.
+// pool (the driver's ordered merge); the fold always happens on the
+// controller.
 
 #ifndef STARSHARE_SERVER_SCAN_RUNNER_H_
 #define STARSHARE_SERVER_SCAN_RUNNER_H_
@@ -37,7 +39,6 @@
 #include "cube/materialized_view.h"
 #include "exec/bound_query.h"
 #include "exec/operators/operator.h"
-#include "exec/operators/scan_source.h"
 #include "exec/operators/star_join_filter.h"
 #include "parallel/policy.h"
 #include "parallel/scan_cursor.h"
@@ -113,7 +114,6 @@ class ContinuousScanRun {
   DiskModel& disk_;
   ParallelPolicy policy_;
   CircularScanCursor cursor_;
-  ScanSourceOp scan_;  // resumable: Reset() repositions it per segment
 
   // Index-aligned: bound_[i] is members_[i]'s aggregation state. BoundQuery
   // is move-only, so membership changes rebuild the vectors by moving

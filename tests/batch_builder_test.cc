@@ -27,11 +27,11 @@ TEST(BatchBuilderTest, MatchesIndividualBuilds) {
   for (const char* text : {"X'Y'Z", "X''Y''", "XZ'", "Y'"}) {
     targets.push_back(GroupBySpec::Parse(text, schema).value());
   }
-  const auto batch = builder.Build(base, targets, disk);
+  const auto batch = builder.Build(base, targets, disk).value();
   ASSERT_EQ(batch.size(), targets.size());
   for (size_t i = 0; i < targets.size(); ++i) {
     const auto single =
-        std::move(builder.Build(base, {targets[i]}, disk).front());
+        std::move(builder.Build(base, {targets[i]}, disk).value().front());
     ASSERT_EQ(batch[i]->num_rows(), single->num_rows()) << i;
     for (uint64_t r = 0; r < single->num_rows(); ++r) {
       for (size_t c = 0; c < single->num_key_columns(); ++c) {
@@ -57,7 +57,7 @@ TEST(BatchBuilderTest, ScansSourceExactlyOnce) {
       GroupBySpec::Parse("Y''", schema).value(),
   };
   disk.ResetStats();
-  const auto batch = builder.Build(base, targets, disk);
+  const auto batch = builder.Build(base, targets, disk).value();
   EXPECT_EQ(disk.stats().seq_pages_read, base_table->num_pages());
   uint64_t written = 0;
   for (const auto& t : batch) written += t->num_pages();
@@ -74,7 +74,7 @@ TEST(BatchBuilderTest, ClusteredBatchIsSorted) {
   ViewBuilder builder(schema);
   const auto batch = builder.Build(
       base, {GroupBySpec::Parse("X'Y'", schema).value()}, disk,
-      /*clustered=*/true);
+      /*clustered=*/true).value();
   const Table& t = *batch[0];
   for (uint64_t r = 1; r < t.num_rows(); ++r) {
     EXPECT_LT(std::make_pair(t.key(0, r - 1), t.key(1, r - 1)),

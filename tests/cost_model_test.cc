@@ -48,7 +48,7 @@ class CostModelTest : public ::testing::Test {
     ViewBuilder builder(schema_);
     small_spec_ = GroupBySpec::Parse("X''Y''Z'", schema_).value();
     small_table_ =
-        std::move(builder.Build(*base_, {small_spec_}, disk_).front());
+        std::move(builder.Build(*base_, {small_spec_}, disk_).value().front());
     small_ = std::make_unique<MaterializedView>(schema_, small_spec_,
                                                 small_table_.get());
     cost_ = std::make_unique<CostModel>(schema_, DiskTimings{}, CpuCosts{});

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/paper_workload.h"
@@ -161,13 +162,19 @@ TEST_F(ParallelDeterminismTest, TinyMorselsChangeNothing) {
   auto serial = RunClass(query_ptrs_, {}, /*probe=*/false, serial_disk);
   ASSERT_TRUE(serial.ok());
 
+  // A set size that is not a whole number of pages (one page + 1 row, and
+  // 1,000 rows) rounds up to whole pages, so no page is charged twice.
   ThreadPool pool(8);
-  ParallelPolicy policy{&pool, 8, table_->rows_per_page(), BatchConfig()};
-  DiskModel disk;
-  auto parallel = RunClass(query_ptrs_, {}, /*probe=*/false, disk, policy);
-  ASSERT_TRUE(parallel.ok());
-  ExpectOutcomesBitIdentical(*serial, *parallel, "tiny-morsel scan");
-  EXPECT_EQ(disk.stats(), serial_disk.stats());
+  const uint64_t rpp = table_->rows_per_page();
+  for (const uint64_t morsel_rows : {rpp, rpp + 1, uint64_t{1000}}) {
+    SCOPED_TRACE("morsel_rows=" + std::to_string(morsel_rows));
+    ParallelPolicy policy{&pool, 8, morsel_rows, BatchConfig()};
+    DiskModel disk;
+    auto parallel = RunClass(query_ptrs_, {}, /*probe=*/false, disk, policy);
+    ASSERT_TRUE(parallel.ok());
+    ExpectOutcomesBitIdentical(*serial, *parallel, "tiny-morsel scan");
+    EXPECT_EQ(disk.stats(), serial_disk.stats());
+  }
 }
 
 TEST_F(ParallelDeterminismTest, OversizedClassIsTypedErrorNotAbort) {
@@ -227,12 +234,12 @@ TEST(ParallelEngineTest, ParallelViewBuildMatchesSerialBuild) {
   }
 
   DiskModel serial_disk;
-  const auto serial = builder.Build(base, targets, serial_disk);
+  const auto serial = builder.Build(base, targets, serial_disk).value();
 
   ThreadPool pool(4);
   builder.set_parallel_policy(ParallelPolicy{&pool, 4, 0, BatchConfig()});
   DiskModel parallel_disk;
-  const auto parallel = builder.Build(base, targets, parallel_disk);
+  const auto parallel = builder.Build(base, targets, parallel_disk).value();
 
   ASSERT_EQ(parallel.size(), serial.size());
   for (size_t i = 0; i < serial.size(); ++i) {

@@ -316,13 +316,13 @@ TEST_F(PhysicalPlanDeterminismTest, ViewBuildsInvariantAcrossDrivers) {
 
     DiskModel one_disk;
     const std::vector<std::unique_ptr<Table>> one =
-        builder.Build(*view_, {targets[0]}, one_disk);
+        builder.Build(*view_, {targets[0]}, one_disk).value();
     ExpectTablesBitIdentical(*one[0], *ref_one.tables[0], Label(config));
     EXPECT_EQ(one_disk.stats(), ref_one.io) << Label(config);
 
     DiskModel many_disk;
     const std::vector<std::unique_ptr<Table>> many =
-        builder.Build(*view_, targets, many_disk);
+        builder.Build(*view_, targets, many_disk).value();
     ASSERT_EQ(many.size(), ref_many.tables.size());
     for (size_t i = 0; i < many.size(); ++i) {
       ExpectTablesBitIdentical(*many[i], *ref_many.tables[i], Label(config));

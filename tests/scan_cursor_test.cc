@@ -1,8 +1,8 @@
 // CircularScanCursor: the fixed page-aligned segment grid under the
 // continuous shared scan. The grid never moves — segment k covers the same
 // rows no matter when a member attached — and wraparound re-charges pages
-// (a second revolution is real modeled I/O, validated through
-// ScanSourceOp::Reset).
+// (a second revolution is real modeled I/O, validated with a fresh
+// ScanSourceOp per segment, as the server drives them).
 
 #include <gtest/gtest.h>
 
@@ -69,7 +69,7 @@ TEST(CircularScanCursorTest, DefaultGridGivesEightAlignedSegments) {
   EXPECT_EQ(CircularScanCursor::DefaultSegmentRows(5, 128), 128u);
 }
 
-TEST(CircularScanCursorTest, ResetRechargesPagesOnWraparound) {
+TEST(CircularScanCursorTest, FreshOpPerSegmentRechargesPagesOnWraparound) {
   const StarSchema schema = SmallSchema();
   DataGenerator gen(schema, {.num_rows = 5000, .seed = 99});
   std::unique_ptr<Table> table = gen.Generate("base");
@@ -90,8 +90,8 @@ TEST(CircularScanCursorTest, ResetRechargesPagesOnWraparound) {
   uint64_t driven = 0;
   while (cursor.revolutions() == 0) {
     const auto seg = cursor.Next();
-    scan.Reset(seg.begin, seg.end);
-    while (scan.NextBatch(batch)) {
+    ScanSourceOp seg_scan(*table, disk, seg.begin, seg.end, 1024);
+    while (seg_scan.NextBatch(batch)) {
     }
     driven += seg.num_rows();
   }
@@ -101,8 +101,8 @@ TEST(CircularScanCursorTest, ResetRechargesPagesOnWraparound) {
 
   // Wrapping around and re-driving a prefix charges its pages AGAIN.
   const auto prefix = cursor.Next();
-  scan.Reset(prefix.begin, prefix.end);
-  while (scan.NextBatch(batch)) {
+  ScanSourceOp prefix_scan(*table, disk, prefix.begin, prefix.end, 1024);
+  while (prefix_scan.NextBatch(batch)) {
   }
   EXPECT_EQ(disk.stats().seq_pages_read,
             (prefix.end + rpp - 1) / rpp - prefix.begin / rpp);

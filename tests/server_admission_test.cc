@@ -37,7 +37,6 @@ struct HookSlot {
 
 std::unique_ptr<Engine> MakeEngine(std::shared_ptr<HookSlot> slot,
                                    EngineConfig cfg = EngineConfig()) {
-  cfg.parallelism = 1;
   if (slot != nullptr) {
     cfg.server.on_segment_boundary = [slot](uint64_t cursor) {
       if (slot->fn) slot->fn(cursor);
@@ -71,9 +70,12 @@ QueryResult Standalone(const DimensionalQuery& q) {
   return std::move(results[0].result);
 }
 
-TEST(ServerAdmissionTest, LateAttachIsBitIdenticalAndChargesWrapPrefix) {
+// Q1 opens a scan and Q2 attaches late at the second segment boundary;
+// both must equal their standalone runs and the I/O is one revolution plus
+// the re-read prefix. `cfg` picks the scan's parallelism and morsel size.
+void CheckLateAttach(const EngineConfig& cfg) {
   auto slot = std::make_shared<HookSlot>();
-  auto engine = MakeEngine(slot);
+  auto engine = MakeEngine(slot, cfg);
   const auto queries = Workload(engine->schema());
 
   QueryHandle late;
@@ -115,6 +117,18 @@ TEST(ServerAdmissionTest, LateAttachIsBitIdenticalAndChargesWrapPrefix) {
             base.num_pages() + attach_at / base.rows_per_page());
   EXPECT_EQ(io.rand_pages_read, 0u);
   EXPECT_EQ(io.index_pages_read, 0u);
+}
+
+TEST(ServerAdmissionTest, LateAttachIsBitIdenticalAndChargesWrapPrefix) {
+  CheckLateAttach(EngineConfig());
+}
+
+TEST(ServerAdmissionTest, LateAttachOnOnePageMorselsAtFourThreads) {
+  // Every segment spans many morsels, each driven by its own chain.
+  EngineConfig cfg;
+  cfg.parallelism = 4;
+  cfg.morsel_rows = MakeEngine(nullptr)->base_view()->table().rows_per_page();
+  CheckLateAttach(cfg);
 }
 
 TEST(ServerAdmissionTest, AttachExactlyAtWraparoundBoundary) {

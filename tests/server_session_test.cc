@@ -113,6 +113,32 @@ TEST(ServerSessionTest, BatchSubmissionBitIdenticalExactIoAcrossMatrix) {
   }
 }
 
+TEST(ServerSessionTest, OnePageMorselSegmentsBitIdenticalExactIo) {
+  // Every segment spans many one-page morsels at 4 threads, so each
+  // morsel's chain must start at its own offset within the segment.
+  auto batch_engine = MakeEngine(1, 1024);
+  const auto queries = Workload(batch_engine->schema());
+  IoStats want_io;
+  const auto want = Reference(*batch_engine, queries, &want_io);
+
+  EngineConfig cfg;
+  cfg.morsel_rows = batch_engine->base_view()->table().rows_per_page();
+  auto server_engine = MakeEngine(4, 1024, cfg);
+  server_engine->ConsumeIoStats();
+  Session session = server_engine->OpenSession();
+  std::vector<QueryHandle> handles = session.SubmitBatch(queries);
+  ASSERT_EQ(handles.size(), queries.size());
+  for (size_t i = 0; i < handles.size(); ++i) {
+    const QueryOutcome& out = handles[i].Await();
+    ASSERT_TRUE(out.ok()) << out.status.ToString();
+    EXPECT_TRUE(BitIdentical(out.result, want.at(queries[i].id())))
+        << "Q" << queries[i].id();
+  }
+  const IoStats got_io = server_engine->ConsumeIoStats();
+  EXPECT_TRUE(got_io == want_io) << "server: " << got_io.ToString()
+                                 << "\nbatch:  " << want_io.ToString();
+}
+
 TEST(ServerSessionTest, RepeatSubmissionServedFromCacheWithZeroIo) {
   EngineConfig cfg;
   cfg.result_cache_entries = 8;

@@ -187,7 +187,7 @@ TEST_F(SharedOperatorsTest, SharedScanHandlesUnrestrictedQuery) {
 TEST_F(SharedOperatorsTest, SharedScanOnAggregateView) {
   ViewBuilder builder(schema_);
   auto spec = GroupBySpec::Parse("X'Y'Z", schema_).value();
-  auto table = std::move(builder.Build(*base_, {spec}, disk_).front());
+  auto table = std::move(builder.Build(*base_, {spec}, disk_).value().front());
   MaterializedView view(schema_, spec, table.get());
   const auto results = SharedScan(Ptrs(3), &view);
   for (size_t i = 0; i < 3; ++i) {

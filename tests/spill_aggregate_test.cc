@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/fault_injector.h"
@@ -318,14 +319,14 @@ TEST_F(SpillAggregateTest, ViewBuilderSpillsBitIdentically) {
   }
   ViewBuilder oracle_builder(schema_);
   DiskModel oracle_disk;
-  const auto oracle = oracle_builder.Build(*view_, targets, oracle_disk);
+  const auto oracle = oracle_builder.Build(*view_, targets, oracle_disk).value();
 
   MemoryBudget budget(4096);
   ViewBuilder builder(schema_);
   builder.set_memory_budget(&budget, SpillConfig{scratch_.string()});
   const uint64_t runs_before = SpillRuns();
   DiskModel disk;
-  const auto built = builder.Build(*view_, targets, disk);
+  const auto built = builder.Build(*view_, targets, disk).value();
   EXPECT_GT(SpillRuns(), runs_before) << "budgeted build never spilled";
   ASSERT_EQ(built.size(), oracle.size());
   for (size_t i = 0; i < oracle.size(); ++i) {
@@ -349,7 +350,7 @@ TEST_F(SpillAggregateTest, ViewBuilderSpillsBitIdentically) {
   ThreadPool pool(4);
   builder.set_parallel_policy(ParallelPolicy{&pool, 4, 0, BatchConfig()});
   DiskModel par_disk;
-  const auto par = builder.Build(*view_, targets, par_disk);
+  const auto par = builder.Build(*view_, targets, par_disk).value();
   ASSERT_EQ(par.size(), oracle.size());
   for (size_t i = 0; i < oracle.size(); ++i) {
     ASSERT_EQ(par[i]->num_rows(), oracle[i]->num_rows());
@@ -378,7 +379,7 @@ TEST_F(SpillAggregateTest, ViewBuilderKeepsStagingAfterAFailedSpillWrite) {
   }
   ViewBuilder oracle_builder(schema_);
   DiskModel oracle_disk;
-  const auto oracle = oracle_builder.Build(*view_, targets, oracle_disk);
+  const auto oracle = oracle_builder.Build(*view_, targets, oracle_disk).value();
 
   MemoryBudget budget(4096);
   for (const int64_t countdown : {int64_t{2}, int64_t{4}}) {
@@ -390,7 +391,7 @@ TEST_F(SpillAggregateTest, ViewBuilderKeepsStagingAfterAFailedSpillWrite) {
     FaultInjector::Instance().Arm("spill.write", spec);
     const uint64_t runs_before = SpillRuns();
     DiskModel disk;
-    const auto built = builder.Build(*view_, targets, disk);
+    const auto built = builder.Build(*view_, targets, disk).value();
     const uint64_t fires = FaultInjector::Instance().fires("spill.write");
     FaultInjector::Instance().Disable();
     EXPECT_EQ(fires, 1u) << "countdown " << countdown;
@@ -412,6 +413,69 @@ TEST_F(SpillAggregateTest, ViewBuilderKeepsStagingAfterAFailedSpillWrite) {
     EXPECT_EQ(disk.stats(), oracle_disk.stats());
     EXPECT_EQ(NumScratchFiles(scratch_), 0u);
   }
+}
+
+TEST(SpillEngineTest, ViewBuildSpillReadFailureIsTypedAndRegistersNothing) {
+  // A budgeted view build whose spill replay fails returns the stage's
+  // status: no view is added and no scratch file is left. View builds key
+  // their fault sites -1, so the default (any-key) spec reaches them.
+  const auto scratch = std::filesystem::temp_directory_path() /
+                       "starshare_spill_view_build_test";
+  std::filesystem::remove_all(scratch);
+  std::filesystem::create_directories(scratch);
+  const std::vector<std::string> specs = {"A'B'C'D", "AB''C'"};
+
+  Engine unbudgeted(StarSchema::PaperTestSchema());
+  unbudgeted.LoadFactTable({.num_rows = 50'000, .seed = 7});
+  auto oracle = unbudgeted.MaterializeViews(specs);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+
+  EngineConfig config;
+  config.scratch_dir = scratch.string();
+  config.memory_budget_bytes = 4096;
+  Engine engine(StarSchema::PaperTestSchema(), config);
+  engine.LoadFactTable({.num_rows = 50'000, .seed = 7});
+  for (const FaultKind kind :
+       {FaultKind::kError, FaultKind::kShortRead, FaultKind::kBitFlip}) {
+    SCOPED_TRACE("fault kind " + std::to_string(static_cast<int>(kind)));
+    FaultInjector::Instance().Enable(43);
+    FaultSpec spec;
+    spec.kind = kind;
+    FaultInjector::Instance().Arm("spill.read", spec);
+    auto failed = engine.MaterializeViews(specs);
+    FaultInjector::Instance().Disable();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_NE(failed.status().code(), StatusCode::kOk);
+    for (const std::string& text : specs) {
+      EXPECT_EQ(engine.views().Find(
+                    GroupBySpec::Parse(text, engine.schema()).value()),
+                nullptr)
+          << text << " was registered";
+    }
+    EXPECT_EQ(NumScratchFiles(scratch), 0u);
+  }
+
+  auto built = engine.MaterializeViews(specs);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_EQ(built->size(), oracle->size());
+  for (size_t i = 0; i < oracle->size(); ++i) {
+    const Table& want = (*oracle)[i]->table();
+    const Table& got = (*built)[i]->table();
+    ASSERT_EQ(got.num_rows(), want.num_rows()) << specs[i];
+    for (uint64_t r = 0; r < want.num_rows(); ++r) {
+      for (size_t c = 0; c < want.num_key_columns(); ++c) {
+        ASSERT_EQ(got.key(c, r), want.key(c, r));
+      }
+      for (size_t m = 0; m < want.num_measures(); ++m) {
+        const double x = got.measure(r, m);
+        const double y = want.measure(r, m);
+        ASSERT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
+            << specs[i] << " row " << r << " measure " << m;
+      }
+    }
+  }
+  EXPECT_EQ(NumScratchFiles(scratch), 0u);
+  std::filesystem::remove_all(scratch);
 }
 
 TEST(SpillEngineTest, BudgetedEngineMatchesUnboundedAndDegradesGracefully) {

@@ -26,7 +26,7 @@ class StarJoinTest : public ::testing::Test {
     }
     ViewBuilder builder(schema_);
     mid_spec_ = GroupBySpec::Parse("X'Y'Z", schema_).value();
-    mid_table_ = std::move(builder.Build(*base_, {mid_spec_}, disk_).front());
+    mid_table_ = std::move(builder.Build(*base_, {mid_spec_}, disk_).value().front());
     mid_ = std::make_unique<MaterializedView>(schema_, mid_spec_,
                                               mid_table_.get());
     for (size_t d = 0; d < schema_.num_dims(); ++d) {

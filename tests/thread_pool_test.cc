@@ -87,7 +87,7 @@ TEST(MorselDispatcherTest, DefaultMorselRowsIsPageAlignedAndBounded) {
   // kMinMorselRows rounded up to whole pages, whatever the scan: less than
   // one page more than the minimum.
   const uint64_t rpp = 409;
-  const uint64_t m = MorselDispatcher::DefaultMorselRows(rpp);
+  const uint64_t m = MorselDispatcher::MorselRows(0, rpp);
   EXPECT_EQ(m % rpp, 0u);
   EXPECT_GE(m, MorselDispatcher::kMinMorselRows);
   EXPECT_LT(m, MorselDispatcher::kMinMorselRows + rpp);
@@ -98,9 +98,19 @@ TEST(MorselDispatcherTest, DefaultMorselRowsIsPageAlignedAndBounded) {
 
   // A page wider than the minimum is one morsel; a page-less table still
   // gets the minimum.
-  EXPECT_EQ(MorselDispatcher::DefaultMorselRows(20'000), 20'000u);
-  EXPECT_EQ(MorselDispatcher::DefaultMorselRows(0),
+  EXPECT_EQ(MorselDispatcher::MorselRows(0, 20'000), 20'000u);
+  EXPECT_EQ(MorselDispatcher::MorselRows(0, 0),
             MorselDispatcher::kMinMorselRows);
+}
+
+TEST(MorselDispatcherTest, SetMorselRowsRoundUpToWholePages) {
+  // A set size rounds up like the default, so no page straddles two
+  // morsels: 1,000 rows over 682-row pages is two pages.
+  EXPECT_EQ(MorselDispatcher::MorselRows(1'000, 682), 1'364u);
+  EXPECT_EQ(MorselDispatcher::MorselRows(682, 682), 682u);
+  EXPECT_EQ(MorselDispatcher::MorselRows(683, 682), 1'364u);
+  EXPECT_EQ(MorselDispatcher::MorselRows(1, 682), 682u);
+  EXPECT_EQ(MorselDispatcher::MorselRows(5, 0), 5u);
 }
 
 TEST(MorselDispatcherTest, WindowAppliesBackpressure) {

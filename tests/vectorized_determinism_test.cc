@@ -367,7 +367,7 @@ TEST_F(VectorizedDeterminismTest, ViewBuildMatchesReferenceBuild) {
     ViewBuilder builder(schema_);
     builder.set_parallel_policy(policy);
     DiskModel disk;
-    const auto built = builder.Build(*view_, targets, disk);
+    const auto built = builder.Build(*view_, targets, disk).value();
     ASSERT_EQ(built.size(), reference.tables.size()) << label;
     for (size_t i = 0; i < built.size(); ++i) {
       ExpectTablesBitIdentical(*built[i], *reference.tables[i], label);
@@ -395,7 +395,7 @@ TEST_F(VectorizedDeterminismTest, RefreshMatchesReferenceBuild) {
     policy.batch.batch_rows = batch_rows;
     builder.set_parallel_policy(policy);
     DiskModel build_disk;
-    auto table = std::move(builder.Build(*view_, {target}, build_disk).front());
+    auto table = std::move(builder.Build(*view_, {target}, build_disk).value().front());
     const testing::ReferenceViews built =
         ReferenceBuild(schema_, {view_.get()}, {target}, false, false);
     ExpectTablesBitIdentical(*table, *built.tables[0], "Build");

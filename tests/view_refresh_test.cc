@@ -111,7 +111,7 @@ void CheckRefresh(const StarSchema& schema, const std::vector<Fact>& base,
   builder.set_compressed_pages(compressed);
   DiskModel build_disk;
   const std::unique_ptr<Table> old_table = std::move(
-      builder.Build(base_view, {spec}, build_disk, clustered).front());
+      builder.Build(base_view, {spec}, build_disk, clustered).value().front());
   MaterializedView view(schema, spec, old_table.get());
   view.set_clustered(clustered);
   StatsAndIndexes(schema, view, build_disk);
@@ -275,7 +275,7 @@ TEST(ViewRefreshTest, OutOfOrderViewKeepsEverySum) {
     ViewBuilder builder(schema);
     DiskModel disk;
     const std::unique_ptr<Table> built =
-        std::move(builder.Build(base_view, {spec}, disk).front());
+        std::move(builder.Build(base_view, {spec}, disk).value().front());
 
     // The same cells, rows reversed.
     std::vector<std::string> key_names;

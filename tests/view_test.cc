@@ -22,7 +22,7 @@ std::unique_ptr<Table> BuildOne(const ViewBuilder& builder,
                                 const MaterializedView& source,
                                 const GroupBySpec& spec, DiskModel& disk,
                                 bool clustered = false) {
-  return std::move(builder.Build(source, {spec}, disk, clustered).front());
+  return std::move(builder.Build(source, {spec}, disk, clustered).value().front());
 }
 
 struct Fixture {
